@@ -173,6 +173,40 @@ BENCHMARK(BM_BlockCacheMixedHotCold)
     ->ArgsProduct({{0, 1}, {0, 1, 2, 3, 4, 5, 6, 7}});
 
 /**
+ * Capacity scaling: MixedHotCold's 90/10 mix (hits on a hot half of
+ * the capacity, cold misses that insert and evict) on a pre-filled
+ * flat cache of 2^14, 2^18 and 2^22 blocks, every eviction kind.
+ * Per-op cost grows with the memory hierarchy for every kind; a kind
+ * whose eviction scales with capacity grows far faster, which
+ * `scripts/bench_compare.py --scaling` gates against LRU's growth in
+ * the same run. A fixed iteration count keeps the 2^22 pre-fill to
+ * one per run.
+ */
+void
+BM_BlockCacheScaling(benchmark::State &state)
+{
+    const auto kind = static_cast<cache::EvictionKind>(state.range(0));
+    const auto capacity = static_cast<uint64_t>(state.range(1));
+    cache::BlockCache cache(capacity, cache::EvictionSpec{kind, 1});
+    for (trace::BlockId b = 0; b < capacity; ++b)
+        cache.insert(b);
+    util::Rng rng(6);
+    for (auto _ : state) {
+        const trace::BlockId b = rng.nextBool(0.9)
+                                     ? rng.nextBelow(capacity / 2)
+                                     : rng.next();
+        if (!cache.access(b))
+            benchmark::DoNotOptimize(cache.insert(b));
+    }
+    state.SetItemsProcessed(state.iterations());
+    state.SetLabel(std::string("flat/") + cache.policyName());
+}
+BENCHMARK(BM_BlockCacheScaling)
+    ->ArgNames({"kind", "capacity"})
+    ->ArgsProduct({{0, 1, 2, 3, 4, 5, 6, 7}, {1 << 14, 1 << 18, 1 << 22}})
+    ->Iterations(1 << 20);
+
+/**
  * The policy fabric's shared history substrate: contains + insert on
  * a ghost cache running at budget, where every new key evicts the
  * oldest. ARC's B1/B2 directory probes and the adaptive sieve's

@@ -10,7 +10,9 @@
  * requests/second, speedup over serial, and scaling efficiency
  * (speedup / usable cores). The totals of every parallel run are
  * checked bit-identical to the serial run — throughput numbers from
- * a diverging driver would be meaningless.
+ * a diverging driver would be meaningless. Rows whose threads (shard
+ * workers + the reader) outnumber the hardware threads are marked
+ * oversubscribed: their speedup measures time-slicing, not scaling.
  */
 
 #include <chrono>
@@ -76,7 +78,7 @@ main(int argc, char **argv)
 
     stats::Table t({"Shards", "Serial req/s", "Parallel req/s",
                     "Free-run req/s", "Speedup", "Efficiency",
-                    "Cache meta B/blk", "Identical"});
+                    "Cache meta B/blk", "Oversubscribed", "Identical"});
     for (const size_t shards :
          {size_t(1), size_t(2), size_t(4), size_t(8)}) {
         const sim::ShardedConfig cfg = shardedConfig(opts, shards);
@@ -118,8 +120,9 @@ main(int argc, char **argv)
         // Efficiency normalizes by the cores the run can actually
         // use: shard workers + the reader, capped by the hardware.
         const double speedup = serial_s / parallel_s;
+        const size_t threads = shards + 1;
         const double usable = static_cast<double>(
-            std::min<size_t>(shards + 1, std::max(1u, cores)));
+            std::min<size_t>(threads, std::max(1u, cores)));
         // Per-resident-block cache metadata across all nodes: the
         // flat-index engine's memory story at replay scale.
         uint64_t cache_bytes = 0, resident = 0;
@@ -138,13 +141,20 @@ main(int argc, char **argv)
                       static_cast<double>(std::max<uint64_t>(1,
                                                              resident)),
                   1)
+            .cell(threads > std::max(1u, cores) ? "yes" : "no")
             .cell(identical ? "yes" : "NO");
     }
     emit(t, opts);
-    note("[speedup at N shards is bounded by the slowest "
-                "shard's share of the block-space and by reader "
-                "throughput; on a >= 4-core host 4 shards should "
-                "clear 2.5x serial]\n");
+    note("[speedup at N shards is bounded by the busiest shard's work "
+         "and by reader throughput. Five runs on a 4-vCPU host gave "
+         "1.83-2.93x serial at 4 shards; at the default scale each "
+         "replay takes under a second, so single runs spread widely. "
+         "bench/e2e's mem-sharded workload (3 shards + reader) traced "
+         "the busiest shard at 2.41 s against the reader's 0.57 s: "
+         "shard work, not the reader, is the limit. Oversubscribed rows "
+         "run more threads (shards + reader) than the %u hardware "
+         "threads]\n",
+         cores);
 
     // Batch-size sweep at a fixed shard count: how much of the
     // replay throughput comes from batching the decode, the per-shard

@@ -26,6 +26,15 @@ extends that to a baseline file that does not exist yet — both so a
 new bench can land before its quiet-host baseline does. Exit status:
 0 clean, 1 regression or determinism break, 2 usage/parse error.
 
+``--scaling FILE`` checks one gbench run instead of diffing two: it
+reads the ``BM_BlockCacheScaling`` rows and, per eviction kind, the
+per-op cost ratio between the largest and the smallest capacity
+(2^22 and 2^14 blocks). Every kind pays the memory hierarchy's growth,
+so each ratio is divided by LRU's from the same file; a kind whose
+ratio exceeds ``SCALING_LIMIT`` (4x) times LRU's fails, which catches
+per-op work that grows with the cache (an O(capacity) victim scan
+grows about 256x over that range). Exit status as above.
+
 Typical use:
 
   build/bench/bench_micro_structures --benchmark_filter=BlockCache \\
@@ -37,6 +46,10 @@ Typical use:
       > fresh_batch.json
   scripts/bench_compare.py --baseline bench/baselines/BENCH_batch.json \\
       --fresh fresh_batch.json
+
+  build/bench/bench_micro_structures --benchmark_filter=BlockCacheScaling \\
+      --benchmark_out=scaling.json --benchmark_out_format=json
+  scripts/bench_compare.py --scaling scaling.json
 
 Refreshing a baseline is deliberate: rerun on a quiet host and commit
 the new file with a note on what changed. The committed replay
@@ -119,6 +132,61 @@ def compareGbench(base_doc, fresh_doc, tolerance):
 
 
 # --------------------------------------------------------------------
+# capacity scaling
+# --------------------------------------------------------------------
+
+SCALING_LIMIT = 4.0
+_SCALING_RE = re.compile(
+    r"^BM_BlockCacheScaling/kind:(\d+)/capacity:(\d+)(?:/iterations:\d+)?$")
+
+
+def scalingRows(doc):
+    """kind label -> {capacity: fastest cpu ns/op over repetitions}."""
+    rows = {}
+    for b in doc.get("benchmarks", []):
+        m = _SCALING_RE.match(b.get("name", ""))
+        if not m or b.get("run_type") == "aggregate":
+            continue
+        label = b.get("label") or f"kind:{m.group(1)}"
+        scale = _TIME_UNIT_NS.get(b.get("time_unit", "ns"), 1.0)
+        ns = float(b["cpu_time"]) * scale
+        per_cap = rows.setdefault(label, {})
+        cap = int(m.group(2))
+        per_cap[cap] = min(ns, per_cap.get(cap, ns))
+    return rows
+
+
+def checkScaling(doc):
+    """Failure labels, or None when the rows cannot be checked."""
+    rows = scalingRows(doc)
+    lru = rows.get("flat/LRU")
+    if not lru or len(lru) < 2:
+        print("bench-compare: no BM_BlockCacheScaling rows for LRU at "
+              "two capacities", file=sys.stderr)
+        return None
+    small, large = min(lru), max(lru)
+    lru_ratio = lru[large] / lru[small]
+    print(f"bench-compare: capacity scaling {small} -> {large} blocks "
+          f"[limit {SCALING_LIMIT:g}x LRU's {lru_ratio:.1f}x]")
+    failures = []
+    for label in sorted(rows):
+        per_cap = rows[label]
+        if small not in per_cap or large not in per_cap:
+            print(f"  MISSING {label} (needs capacities {small} and "
+                  f"{large})")
+            failures.append(label)
+            continue
+        ratio = per_cap[large] / per_cap[small]
+        flag = ""
+        if ratio > SCALING_LIMIT * lru_ratio:
+            flag = "  << SUPERLINEAR"
+            failures.append(label)
+        print(f"  {label}: {per_cap[small]:.1f} -> {per_cap[large]:.1f} "
+              f"ns ({ratio:.1f}x, {ratio / lru_ratio:.2f}x LRU's){flag}")
+    return failures
+
+
+# --------------------------------------------------------------------
 # replay
 # --------------------------------------------------------------------
 
@@ -172,11 +240,35 @@ def compareReplay(base_docs, fresh_docs, tolerance):
     return failures
 
 
+def mainScaling(path):
+    try:
+        docs = loadJsonStream(path)
+    except (OSError, ValueError) as e:
+        print(f"bench-compare: {e}", file=sys.stderr)
+        return 2
+    if detectFormat(docs) != "gbench":
+        print(f"bench-compare: {path} is not a gbench JSON run",
+              file=sys.stderr)
+        return 2
+    failures = checkScaling(docs[0])
+    if failures is None:
+        return 2
+    if failures:
+        print(f"bench-compare: FAILED ({len(failures)} kind(s) scale "
+              f"superlinearly)")
+        return 1
+    print("bench-compare: OK")
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(
         description="diff a fresh benchmark run against a baseline")
-    parser.add_argument("--baseline", required=True)
-    parser.add_argument("--fresh", required=True)
+    parser.add_argument("--baseline")
+    parser.add_argument("--fresh")
+    parser.add_argument("--scaling", metavar="FILE",
+                        help="check one gbench run's BM_BlockCacheScaling "
+                             "rows instead of diffing two runs")
     parser.add_argument("--tolerance", type=float, default=0.50,
                         help="allowed fractional slowdown "
                              "(default 0.50)")
@@ -189,6 +281,13 @@ def main():
                              "does not exist yet (new benches land "
                              "before their quiet-host baseline does)")
     opts = parser.parse_args()
+
+    if opts.scaling:
+        if opts.baseline or opts.fresh:
+            parser.error("--scaling takes no --baseline/--fresh")
+        return mainScaling(opts.scaling)
+    if not (opts.baseline and opts.fresh):
+        parser.error("--baseline and --fresh are required")
 
     try:
         base_docs = loadJsonStream(opts.baseline)

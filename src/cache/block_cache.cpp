@@ -64,11 +64,15 @@ BlockCache::initFlatEngine()
       case EvictionKind::Fifo:
       case EvictionKind::Clock:
       case EvictionKind::Sieve:
-      case EvictionKind::Lfu:
       case EvictionKind::Random:
         // Single-arena kinds recycle the victim's node before each
         // steady-state insert; warmup growth runs under insert()'s
         // disarm, so no up-front arena reservation is needed.
+        break;
+      case EvictionKind::Lfu:
+        // Reserved at capacity so no insert (warmup, steady state or
+        // a batchReplace install) ever grows the heap.
+        lfu_heap.reserve(capacity_blocks);
         break;
       case EvictionKind::Arc:
         // Steady-state inserts can land in the other arena than the
@@ -313,7 +317,8 @@ BlockCache::memoryBytes() const
     if (custom)
         return total + custom->memoryBytes();
     total += order.memoryBytes() + order2.memoryBytes() +
-             order3.memoryBytes() + util::vectorFootprintBytes(pool);
+             order3.memoryBytes() + util::vectorFootprintBytes(pool) +
+             util::vectorFootprintBytes(lfu_heap);
     // Ghost directories and the admission sketch are policy metadata
     // like the order books and are charged the same way.
     if (ghost_recent)
@@ -365,7 +370,11 @@ BlockCache::policyInsert(BlockId block, PolicyState &st)
         break;
       case EvictionKind::Lfu:
         st.primary = 1;
-        st.secondary = lfu_sequence++;
+        // The heap is reserved at capacity and never holds more
+        // entries than the index, so this never reallocates.
+        lfu_heap.push_back({}); // sieve-analyze: allow(no-alloc)
+        st.secondary = lfuSiftUp(lfu_heap.size() - 1,
+                                 {1, lfu_sequence++, block});
         break;
       case EvictionKind::Random:
         st.primary = pool.size();
@@ -428,7 +437,7 @@ BlockCache::policyAccess(BlockId block, PolicyState &st)
         st.secondary = 1;
         break;
       case EvictionKind::Lfu:
-        ++st.primary;
+        ++st.primary; // the heap key catches up lazily in policyVictim
         break;
       case EvictionKind::Random:
         break;
@@ -487,8 +496,21 @@ BlockCache::policyErase(BlockId block, const PolicyState &st)
         order.erase(node);
         break;
       }
-      case EvictionKind::Lfu:
+      case EvictionKind::Lfu: {
+        // Refill the freed slot with the last entry, which may belong
+        // above or below it.
+        const auto slot = static_cast<size_t>(st.secondary);
+        const LfuEntry last = lfu_heap.back();
+        lfu_heap.pop_back();
+        if (slot == lfu_heap.size())
+            break; // the erased entry was the last one
+        const size_t to =
+                slot > 0 && last.before(lfu_heap[(slot - 1) / 2])
+                        ? lfuSiftUp(slot, last)
+                        : lfuSiftDown(slot, last);
+        lfuMove(to, last);
         break;
+      }
       case EvictionKind::Random: {
         // Swap-with-last keeps the pool dense.
         const auto pos = static_cast<size_t>(st.primary);
@@ -555,23 +577,20 @@ BlockCache::policyVictim(BlockId incoming)
                 return block;
             }
         }
-      case EvictionKind::Lfu: {
-        // Linear scan for the unique (count, sequence) minimum.
-        bool found = false;
-        BlockId best_block = 0;
-        uint64_t best_count = 0;
-        uint64_t best_seq = 0;
-        index.forEach([&](uint64_t key, const PolicyState &st) {
-            if (!found || st.primary < best_count ||
-                (st.primary == best_count && st.secondary < best_seq)) {
-                found = true;
-                best_block = key;
-                best_count = st.primary;
-                best_seq = st.secondary;
-            }
-        });
-        return best_block;
-      }
+      case EvictionKind::Lfu:
+        // Heap counts are lower bounds (hits bump only the index
+        // slot). Re-key the root until its count is current: it is
+        // then below every stored key, hence every true key, and so
+        // the exact (count, seq) minimum.
+        while (true) {
+            LfuEntry root = lfu_heap.front();
+            PolicyState *st = index.find(root.block);
+            SIEVE_DCHECK(st != nullptr);
+            if (root.count == st->primary)
+                return root.block;
+            root.count = st->primary;
+            st->secondary = lfuSiftDown(0, root);
+        }
       case EvictionKind::Random:
         return pool[rng.nextBelow(pool.size())];
       case EvictionKind::Sieve: {
@@ -654,6 +673,48 @@ BlockCache::policyVictim(BlockId incoming)
       }
     }
     SIEVE_UNREACHABLE("unknown EvictionKind");
+}
+
+void
+BlockCache::lfuMove(size_t slot, const LfuEntry &e)
+{
+    lfu_heap[slot] = e;
+    PolicyState *st = index.find(e.block);
+    SIEVE_DCHECK(st != nullptr);
+    st->secondary = slot;
+}
+
+size_t
+BlockCache::lfuSiftUp(size_t slot, LfuEntry e)
+{
+    while (slot > 0) {
+        const size_t parent = (slot - 1) / 2;
+        if (!e.before(lfu_heap[parent]))
+            break;
+        lfuMove(slot, lfu_heap[parent]);
+        slot = parent;
+    }
+    lfu_heap[slot] = e;
+    return slot;
+}
+
+size_t
+BlockCache::lfuSiftDown(size_t slot, LfuEntry e)
+{
+    const size_t n = lfu_heap.size();
+    while (true) {
+        size_t child = 2 * slot + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n && lfu_heap[child + 1].before(lfu_heap[child]))
+            ++child;
+        if (!lfu_heap[child].before(e))
+            break;
+        lfuMove(slot, lfu_heap[child]);
+        slot = child;
+    }
+    lfu_heap[slot] = e;
+    return slot;
 }
 
 void
@@ -753,14 +814,31 @@ BlockCache::checkInvariants() const
         break;
       }
       case EvictionKind::Lfu:
-        index.forEach([&](uint64_t key, const PolicyState &st) {
-            SIEVE_CHECK(st.primary >= 1,
-                        "LFU count for %llx below one",
-                        static_cast<unsigned long long>(key));
-            SIEVE_CHECK(st.secondary < lfu_sequence,
-                        "LFU sequence for %llx from the future",
-                        static_cast<unsigned long long>(key));
-        });
+        // One heap entry per resident block (distinct back-links make
+        // the size match a bijection), in heap order, each carrying a
+        // count in [1, true count].
+        SIEVE_CHECK(lfu_heap.size() == index.size(),
+                    "LFU heap tracks %zu blocks, cache holds %zu",
+                    lfu_heap.size(), index.size());
+        for (size_t i = 0; i < lfu_heap.size(); ++i) {
+            const LfuEntry &e = lfu_heap[i];
+            const auto block = static_cast<unsigned long long>(e.block);
+            const PolicyState *st = index.find(e.block);
+            SIEVE_CHECK(st != nullptr, "LFU heap block %llx is not resident",
+                        block);
+            SIEVE_CHECK(st->secondary == i,
+                        "block %llx records heap slot %llu, is at %zu",
+                        block, static_cast<unsigned long long>(st->secondary),
+                        i);
+            SIEVE_CHECK(e.count >= 1 && e.count <= st->primary,
+                        "LFU heap count %llu for %llx outside [1, %llu]",
+                        static_cast<unsigned long long>(e.count), block,
+                        static_cast<unsigned long long>(st->primary));
+            SIEVE_CHECK(e.seq < lfu_sequence,
+                        "LFU sequence for %llx from the future", block);
+            SIEVE_CHECK(i == 0 || !e.before(lfu_heap[(i - 1) / 2]),
+                        "LFU heap order broken at slot %zu", i);
+        }
         break;
       case EvictionKind::Random:
         SIEVE_CHECK(pool.size() == index.size(),

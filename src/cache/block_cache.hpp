@@ -13,10 +13,10 @@
  * payload), so a resident hit is one hash probe that both answers the
  * residency test and reaches the policy's per-block state. The
  * built-in policies (EvictionKind) keep their order books in an
- * index-linked arena (LRU/FIFO/CLOCK) or a dense vector (Random)
- * instead of pointer-linked std::lists. The table is pre-sized for
- * `capacity_blocks` at construction, so steady-state replay never
- * rehashes.
+ * index-linked arena (LRU/FIFO/CLOCK), a dense vector (Random) or an
+ * indexed binary min-heap (LFU) instead of pointer-linked std::lists.
+ * The table is pre-sized for `capacity_blocks` at construction, so
+ * steady-state replay never rehashes.
  *
  * Two engines share the index:
  *  - flat (default): EvictionSpec selects a built-in policy whose
@@ -67,7 +67,7 @@ struct BatchReplaceResult
  *  ---------+--------------------------+---------------------------
  *  LRU/FIFO | IndexList node index     | unused
  *  CLOCK    | IndexList node index     | reference bit (0/1)
- *  LFU      | access count (init 1)    | insertion sequence number
+ *  LFU      | true access count (>= 1) | slot in the LFU victim heap
  *  Random   | position in victim pool  | unused
  *  SIEVE    | IndexList node index     | visited bit (0/1)
  *  ARC      | IndexList node index     | resident list (1=T1, 2=T2)
@@ -78,6 +78,16 @@ struct BatchReplaceResult
  * (`order` for LRU/FIFO/CLOCK/SIEVE/ARC-T1/window, `order2` for
  * ARC-T2/probation, `order3` for protected). Unused in custom-policy
  * mode (the policy keeps its own state).
+ *
+ * LFU's heap orders {count, seq, block} entries by (count, seq), seq
+ * being the insertion sequence that breaks count ties. A hit bumps
+ * only `primary`, so an entry's heap count is the count it was last
+ * placed with: a lower bound on the true count, since counts only
+ * grow. The victim search re-keys (sifts down) the root until its
+ * stored count is current, at which point it is the exact (count,
+ * seq) minimum. Each re-key consumes at least one earlier hit, so
+ * eviction is amortized O(log capacity) and a hit stays one probe
+ * plus an increment.
  */
 struct PolicyState
 {
@@ -232,6 +242,30 @@ class BlockCache
     /** Evict `block`: policy bookkeeping plus index removal. */
     void eraseResident(trace::BlockId block);
 
+    /** LFU victim-heap entry, keyed by (count, seq). `count` is the
+     * access count when the entry was last placed (<= the true count
+     * in the block's PolicyState). */
+    struct LfuEntry
+    {
+        uint64_t count;
+        uint64_t seq;
+        trace::BlockId block;
+
+        bool
+        before(const LfuEntry &o) const
+        {
+            return count < o.count || (count == o.count && seq < o.seq);
+        }
+    };
+
+    /** Store `e` at heap `slot` and point its block's back-link there. */
+    void lfuMove(size_t slot, const LfuEntry &e);
+    /** Sift `e` up / down from the hole at `slot`, moving the entries
+     * it passes (back-links included); stores `e` and returns its
+     * final slot, whose back-link the caller sets. */
+    size_t lfuSiftUp(size_t slot, LfuEntry e);
+    size_t lfuSiftDown(size_t slot, LfuEntry e);
+
     uint64_t capacity_blocks;
     EvictionSpec spec;
     /** Non-null selects the custom engine. */
@@ -251,6 +285,9 @@ class BlockCache
     uint32_t hand = util::IndexList::kNull;
     /** Random: dense victim pool (swap-with-last on erase). */
     std::vector<trace::BlockId> pool;
+    /** LFU: indexed binary min-heap on (count, seq), reserved at
+     * capacity; the root is the victim once its count is current. */
+    std::vector<LfuEntry> lfu_heap;
     /** LFU insertion-sequence source. */
     uint64_t lfu_sequence = 0;
     util::Rng rng;

@@ -104,6 +104,8 @@ TEST(FlatCacheDifferential, OpStreamMatchesReferenceEveryKind)
         // Capacity 1 and 2: the degenerate rings/lists.
         differentialOpStream(kind, 1, 16, 44, 5000);
         differentialOpStream(kind, 2, 16, 45, 5000);
+        // Capacity 4096: a 12-level LFU heap with long sift paths.
+        differentialOpStream(kind, 4096, 1 << 14, 47, 30000);
     }
 }
 

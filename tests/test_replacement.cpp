@@ -115,6 +115,41 @@ TEST(Lfu, TieBreaksByInsertionOrder)
     }
 }
 
+TEST(Lfu, TieBreaksBySequenceNotBucketEntry)
+{
+    // 1 and 2 both reach count 2, 2 first. Frequency buckets would
+    // evict 2 (earliest into the bucket); exact LFU evicts 1, the
+    // lower insertion sequence.
+    for (BlockCache &cache : bothEngines(2, EvictionKind::Lfu)) {
+        cache.insert(1);
+        cache.insert(2);
+        cache.access(2);
+        cache.access(1);
+        const auto evicted = cache.insert(3);
+        ASSERT_TRUE(evicted.has_value());
+        EXPECT_EQ(*evicted, 1u);
+        cache.checkInvariants();
+    }
+}
+
+TEST(Lfu, StaleRootIsRekeyedBeforeEviction)
+{
+    // 1 sits at the heap root with a stored count of 1 after two hits
+    // made it 3; the victim search must look past it to 2.
+    for (BlockCache &cache : bothEngines(3, EvictionKind::Lfu)) {
+        cache.insert(1);
+        cache.insert(2);
+        cache.insert(3);
+        cache.access(1);
+        cache.access(1);
+        const auto evicted = cache.insert(4);
+        ASSERT_TRUE(evicted.has_value());
+        EXPECT_EQ(*evicted, 2u);
+        EXPECT_TRUE(cache.contains(1));
+        cache.checkInvariants();
+    }
+}
+
 TEST(OracleRetain, ProtectedBlocksSurvive)
 {
     auto policy = std::make_unique<OracleRetainPolicy>();
