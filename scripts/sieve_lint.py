@@ -52,6 +52,13 @@ linter knows about; this tool makes them machine-checked:
                     syscall surface, so every device access flows
                     through storage::Backend where it is counted,
                     fault-injectable, and alignment-checked.
+  env-knob          Every getenv() under src/ must carry
+                    `// sieve-lint: allow(env-knob) <reason>`: an
+                    environment toggle silently forks what a run
+                    measures, so each one is a reviewed waiver that
+                    says why a user needs it. A waiver with no reason
+                    is itself a finding, and unused-allow catches a
+                    waiver whose getenv is gone.
 
 Suppressions:
   // sieve-lint: charged(<reason>)   on or above a member declaration
@@ -77,7 +84,7 @@ FIXTURE_DIR = os.path.join("scripts", "lint_fixtures")
 
 RULES = ("mem-charge", "ghost-charge", "invariants",
          "unordered-report", "wall-clock", "batch-guard",
-         "raw-prefetch", "raw-io")
+         "raw-prefetch", "raw-io", "env-knob")
 
 # Classes the runtime contract layer audits; each must expose a
 # checkInvariants() hook (any signature).
@@ -723,6 +730,35 @@ def checkRawIo(src, findings):
             flag(m.start(), m.group(0).split("(")[0].strip())
 
 
+ENV_KNOB_RE = re.compile(r"\b(?:secure_)?getenv\s*\(")
+ENV_KNOB_REASON_RE = re.compile(r"allow\(env-knob\)\W*(\w.*)?$")
+
+
+def checkEnvKnob(src, findings):
+    """Every environment read under src/ is a reviewed waiver that
+    names its reason (scripts/ holds the rule's fixture)."""
+    if src.relpath.split(os.sep)[0] not in ("src", "scripts"):
+        return
+    for i, line in enumerate(src.text.splitlines(), start=1):
+        if not ENV_KNOB_RE.search(line):
+            continue
+        last = src.statementEnd(i)
+        if not src.allowed(i, "env-knob", last):
+            findings.append(Finding(
+                src.relpath, i, "env-knob",
+                "getenv() under src/ adds an environment toggle; "
+                "annotate it with // sieve-lint: allow(env-knob) "
+                "<why a user needs it>"))
+            continue
+        reasons = [ENV_KNOB_REASON_RE.search(src.lines[l - 1])
+                   for l in range(max(i - 1, 1), last + 1)]
+        if not any(m and m.group(1) for m in reasons):
+            findings.append(Finding(
+                src.relpath, i, "env-knob",
+                "allow(env-knob) waiver gives no reason; say why a "
+                "user needs this toggle"))
+
+
 BATCH_ENTRY_RE = re.compile(
     r"\b(?:[A-Za-z_]\w*\s*::\s*)?(processBatch|nextBatch)\s*\(")
 
@@ -914,6 +950,7 @@ def runLint(root, relpaths, backend, check_missing):
         checkBatchGuard(src, findings)
         checkRawPrefetch(src, findings)
         checkRawIo(src, findings)
+        checkEnvKnob(src, findings)
     # After every rule has run: a directive that suppressed nothing
     # is stale and must be removed, not left to mask future findings.
     for src in sources:

@@ -33,10 +33,6 @@ BlockCache::BlockCache(uint64_t capacity, EvictionSpec espec)
     : capacity_blocks(capacity), spec(espec), rng(espec.seed)
 {
     checkCapacity(capacity_blocks);
-#ifdef SIEVE_REFERENCE_CACHE
-    // Reference build: route the built-in kinds to the seed policies.
-    custom = makeReferencePolicy(spec, capacity_blocks);
-#endif
     initFlatEngine();
 }
 
@@ -46,10 +42,6 @@ BlockCache::BlockCache(uint64_t capacity,
       rng(spec.seed)
 {
     checkCapacity(capacity_blocks);
-#ifdef SIEVE_REFERENCE_CACHE
-    if (!custom)
-        custom = makeReferencePolicy(spec, capacity_blocks);
-#endif
     initFlatEngine();
 }
 
@@ -101,6 +93,17 @@ BlockCache::contains(BlockId block) const
     return index.contains(block);
 }
 
+void
+BlockCache::touchResident(BlockId block, PolicyState &st)
+{
+    // Custom policies keep their own per-block state; for them the
+    // slot only proves residency.
+    if (custom)
+        custom->onAccess(block);
+    else
+        policyAccess(block, st);
+}
+
 bool
 BlockCache::access(BlockId block)
 {
@@ -111,10 +114,7 @@ BlockCache::access(BlockId block)
     PolicyState *st = index.find(block);
     if (!st)
         return false;
-    if (custom)
-        custom->onAccess(block);
-    else
-        policyAccess(block, *st);
+    touchResident(block, *st);
     return true;
 }
 
@@ -141,29 +141,22 @@ BlockCache::touchBatch(std::span<const BlockId> blocks,
                        std::span<bool> hit)
 {
     SIEVE_DCHECK(hit.size() >= blocks.size());
-    if (custom) {
-        // Custom policies own their state; the batched kernel cannot
-        // gather into it, so they keep the scalar loop.
-        for (size_t i = 0; i < blocks.size(); ++i)
-            hit[i] = access(blocks[i]);
-        return;
-    }
     // Probe-gather then mutate: all probes in a chunk resolve through
     // the kernel before any policy transition runs. Transitions touch
-    // payloads and the order book, never the index structure, so the
-    // gathered pointers stay valid across the whole chunk — duplicate
-    // blocks simply retouch the same slot in batch order, exactly as
-    // the scalar loop would.
-    SIEVE_ASSERT_NO_ALLOC;
+    // payloads, the order book or the custom policy, never the index
+    // structure, so the gathered pointers stay valid across the whole
+    // chunk — duplicate blocks simply retouch the same slot in batch
+    // order, exactly as repeated access() calls would.
+    SIEVE_ASSERT_NO_ALLOC_WHEN(!custom);
     PolicyState *st[kProbeBatch];
     for (size_t base = 0; base < blocks.size(); base += kProbeBatch) {
         const size_t n = std::min(kProbeBatch, blocks.size() - base);
-        index.findBatch(blocks.subspan(base, n),
-                        std::span<PolicyState *>(st, n));
+        probeBatch(blocks.subspan(base, n),
+                   std::span<PolicyState *>(st, n));
         for (size_t i = 0; i < n; ++i) {
             hit[base + i] = st[i] != nullptr;
             if (st[i] != nullptr)
-                policyAccess(blocks[base + i], *st[i]);
+                touchResident(blocks[base + i], *st[i]);
         }
     }
 }
@@ -172,9 +165,6 @@ void
 BlockCache::probeBatch(std::span<const BlockId> blocks,
                        std::span<PolicyState *> st)
 {
-    SIEVE_CHECK(!custom,
-                "probeBatch gathers raw policy state and would bypass "
-                "a custom policy; flat engine only");
     SIEVE_DCHECK(st.size() >= blocks.size());
     SIEVE_ASSERT_NO_ALLOC;
     index.findBatch(blocks, st);
@@ -183,8 +173,8 @@ BlockCache::probeBatch(std::span<const BlockId> blocks,
 void
 BlockCache::touchProbed(BlockId block, PolicyState &st)
 {
-    SIEVE_ASSERT_NO_ALLOC;
-    policyAccess(block, st);
+    SIEVE_ASSERT_NO_ALLOC_WHEN(!custom);
+    touchResident(block, st);
 }
 
 std::optional<BlockId>

@@ -22,8 +22,10 @@
  *  - flat (default): EvictionSpec selects a built-in policy whose
  *    transitions are inlined switch dispatch — no virtual calls;
  *  - custom: a virtual ReplacementPolicy (OracleRetain, or the
- *    Reference* seed implementations used by the differential suite
- *    and the SIEVE_FLAT_CACHE=OFF build) runs beside the index.
+ *    Reference* seed implementations the differential suite runs as
+ *    oracles) runs beside the index, which then only tracks
+ *    residency. Every entry point, the batched probe paths included,
+ *    serves both engines.
  */
 
 #ifndef SIEVESTORE_CACHE_BLOCK_CACHE_HPP
@@ -137,29 +139,31 @@ class BlockCache
     SIEVE_TAINT_SINK bool access(trace::BlockId block);
 
     /**
-     * Batched access: `hit[i]` = access(blocks[i]), with all probes
-     * resolved through the batched kernel before the policy
-     * transitions run in batch order (transitions touch payloads and
-     * the order book, never the index structure, so the gathered
-     * pointers stay valid — duplicates included). Custom engines fall
-     * back to the scalar loop.
+     * Batched access: `hit[i]` = access(blocks[i]). Each chunk runs the
+     * appliance's hit path — probeBatch, then touchProbed's transition
+     * for every hit in batch order (transitions touch payloads, the
+     * order book or the custom policy, never the index structure, so
+     * the gathered pointers stay valid — duplicates included).
      */
     SIEVE_TAINT_SINK void touchBatch(std::span<const trace::BlockId> blocks,
                                      std::span<bool> hit);
 
     /**
-     * Probe-gather for the appliance's batched kernel: `st[i]` points
-     * at blocks[i]'s policy state, or nullptr if absent. Flat engines
-     * only (the gathered pointers bypass the custom policy). Pointers
-     * follow the FlatIndex invalidation rule: consume them before any
-     * insert/erase on this cache.
+     * Probe-gather for the appliance's request body: `st[i]` points at
+     * blocks[i]'s policy state, or nullptr if absent. Pass each hit's
+     * state to touchProbed, which routes the transition to the custom
+     * policy when one is active. Pointers follow the FlatIndex
+     * invalidation rule: consume them before any insert/erase on this
+     * cache.
      */
     SIEVE_TAINT_SINK void probeBatch(std::span<const trace::BlockId> blocks,
                                      std::span<PolicyState *> st);
 
     /** Apply the resident-hit policy transition to a gathered state
-     *  (the mutate phase of a probe-gathered hit). The block key is
-     *  needed by the sketch/segment kinds (TinyLfu, ARC). */
+     *  (the mutate phase of a probe-gathered hit): the custom policy's
+     *  onAccess, or the flat kind's transition. The block key is
+     *  needed by the custom policy and the sketch/segment kinds
+     *  (TinyLfu, ARC). */
     SIEVE_TAINT_SINK void touchProbed(trace::BlockId block,
                                       PolicyState &st);
 
@@ -224,6 +228,10 @@ class BlockCache
 
   private:
     using BlockIndex = util::FlatIndex<PolicyState>;
+
+    /** Resident-hit transition for either engine (access, touchBatch
+     * and touchProbed share it). */
+    void touchResident(trace::BlockId block, PolicyState &st);
 
     /** Flat-policy transition helpers (no-ops in custom mode). */
     void policyInsert(trace::BlockId block, PolicyState &st);

@@ -13,8 +13,9 @@
  *
  *  - Reference* classes: the original node-based (std::list +
  *    unordered_map) implementations, retained verbatim as the ground
- *    truth for the differential suite (test_flat_cache_differential)
- *    and selected cache-wide by the SIEVE_FLAT_CACHE=OFF build flag.
+ *    truth for the differential suite (test_flat_cache_differential),
+ *    which runs them as custom BlockCache policies through
+ *    makeReferencePolicy.
  *  - OracleRetainPolicy: the Section 3.1 oracle, which needs per-day
  *    protected-set state that does not fit a POD slot payload.
  *
@@ -489,8 +490,9 @@ class OracleRetainPolicy : public ReferenceLruPolicy
 };
 
 /**
- * Reference (seed) implementation of a built-in policy, for the
- * differential suite and the SIEVE_FLAT_CACHE=OFF build. The capacity
+ * Reference (seed) implementation of a built-in policy, the oracle of
+ * the differential suite (ApplianceConfig::replacement or the custom
+ * BlockCache constructor reaches it). The capacity
  * sizes the history-driven kinds (ARC's ghost directories, TinyLFU's
  * window/protected split and sketch width); the classic kinds ignore
  * it.

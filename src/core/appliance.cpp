@@ -1,7 +1,6 @@
 #include "core/appliance.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <functional>
 
 #include "trace/expand.hpp"
@@ -30,41 +29,7 @@ makeCache(const ApplianceConfig &config)
 /** Initial capacity of the in-flight allocation structures. */
 constexpr size_t kPendingReserve = 1024;
 
-bool
-initialBatchKernel()
-{
-#ifdef SIEVE_BATCH_KERNEL_DISABLED
-    return false;
-#else
-    // SIEVE_BATCH_KERNEL=0 pins the scalar per-request path from
-    // process start; any other value — or none — takes the kernel
-    // whenever the flat engines are active.
-    const char *env = std::getenv("SIEVE_BATCH_KERNEL");
-    return env == nullptr || env[0] != '0';
-#endif
-}
-
-bool g_batch_kernel = initialBatchKernel();
-
 } // namespace
-
-bool
-batchKernelEnabled()
-{
-    return g_batch_kernel;
-}
-
-bool
-setBatchKernel(bool enabled)
-{
-#ifdef SIEVE_BATCH_KERNEL_DISABLED
-    (void)enabled;
-    return false;
-#else
-    g_batch_kernel = enabled;
-    return g_batch_kernel;
-#endif
-}
 
 void
 DailyReport::add(const DailyReport &other)
@@ -114,29 +79,18 @@ Appliance::initOccupancy()
 Appliance::Appliance(ApplianceConfig config)
     : cfg(std::move(config)), cache_(makeCache(cfg))
 {
-    if (cfg.allocation) {
-        policy_ = cfg.allocation();
-        if (!policy_)
-            util::fatal("appliance allocation factory returned null");
-    } else {
-#ifdef SIEVE_REFERENCE_SIEVE
-        // Reference build: run the spec through the virtual seed
-        // policies so the flat engine has something to differ from.
-        policy_ = makeReferenceSievePolicy(cfg.sieve);
-#else
-        fsieve_.emplace(cfg.sieve);
-#endif
-    }
+    if (cfg.allocation)
+        sieve_.emplace(cfg.allocation());
+    else
+        sieve_.emplace(cfg.sieve);
     initOccupancy();
 }
 
 Appliance::Appliance(ApplianceConfig config,
                      std::unique_ptr<AllocationPolicy> policy)
-    : cfg(std::move(config)), policy_(std::move(policy)),
-      cache_(makeCache(cfg))
+    : cfg(std::move(config)), cache_(makeCache(cfg))
 {
-    if (!policy_)
-        util::fatal("appliance requires an allocation policy");
+    sieve_.emplace(std::move(policy));
     initOccupancy();
 }
 
@@ -166,7 +120,7 @@ Appliance::reportFor(util::TimeUs t)
 bool
 Appliance::flatEnginesOnly() const
 {
-    return fsieve_.has_value() && !selector_ && !occupancy_ &&
+    return sieve_ && sieve_->custom() == nullptr && !occupancy_ &&
            cache_.customPolicy() == nullptr;
 }
 
@@ -374,102 +328,13 @@ void
 Appliance::processRequestInto(const trace::Request &req, DailyReport &rep)
 {
     const bool is_read = req.op == trace::Op::Read;
+    // Discrete selectors observe every access in block order
+    // (SieveStore-D logs *accesses*, not misses); continuous sieves
+    // see each hit and sieve each miss.
+    const bool discrete = selector_ != nullptr;
 
     // Page-coalescing state: contiguous blocks of the same request that
     // share a 4 KB unit cost one SSD I/O (sub-4 KB charged as full).
-    uint64_t last_hit_page = UINT64_MAX;
-    uint64_t last_alloc_page = UINT64_MAX;
-
-    trace::BlockAccess access;
-    access.time = req.time;
-    access.server = req.server;
-    access.op = req.op;
-
-    // Discrete selectors observe every access in block order; stage
-    // them into request-local chunks and flush through observeBatch so
-    // hash-table-backed selectors get the batched hash-ahead path.
-    constexpr size_t kStage = cache::BlockCache::kProbeBatch;
-    trace::BlockAccess staged[kStage];
-    size_t n_staged = 0;
-    const auto stageObservation = [&](const trace::BlockAccess &a) {
-        staged[n_staged++] = a;
-        if (n_staged == kStage) {
-            selector_->observeBatch(
-                std::span<const trace::BlockAccess>(staged, n_staged));
-            n_staged = 0;
-        }
-    };
-
-    for (uint32_t i = 0; i < req.length_blocks; ++i) {
-        const BlockId block = req.blockAt(i);
-        const uint64_t page = trace::blockNrOf(block) /
-                              trace::kBlocksPerPage;
-        access.block = block;
-        access.completion = trace::interpolatedCompletion(req, i);
-
-        ++rep.accesses;
-        if (is_read)
-            ++rep.read_accesses;
-
-        if (cache_.access(block)) {
-            ++rep.hits;
-            if (is_read)
-                ++rep.read_hits;
-            else
-                ++rep.write_hits;
-            if (page != last_hit_page) {
-                last_hit_page = page;
-                if (is_read) {
-                    ++rep.ssd_read_ios;
-                    stageRead(req.time, block);
-                    if (occupancy_)
-                        occupancy_->recordReads(req.time, 1);
-                } else {
-                    ++rep.ssd_write_ios;
-                    stageWrite(req.time, block);
-                    if (occupancy_)
-                        occupancy_->recordWrites(req.time, 1);
-                }
-            }
-            if (fsieve_)
-                fsieve_->onHit(access);
-            else if (policy_)
-                policy_->onHit(access);
-            if (selector_)
-                stageObservation(access);
-            continue;
-        }
-
-        // Miss. Discrete selectors observe the access (SieveStore-D
-        // logs *accesses*, not misses); continuous policies sieve it.
-        if (selector_) {
-            stageObservation(access);
-            continue;
-        }
-        if (pending.contains(block))
-            continue; // allocation already in flight
-        const AllocDecision decision =
-            fsieve_ ? fsieve_->onMiss(access) : policy_->onMiss(access);
-        if (decision == AllocDecision::Allocate) {
-            notePending(block);
-            const bool new_unit = page != last_alloc_page;
-            last_alloc_page = page;
-            pushAlloc(PendingAlloc{access.completion, block, new_unit});
-        }
-    }
-    if (n_staged != 0)
-        selector_->observeBatch(
-            std::span<const trace::BlockAccess>(staged, n_staged));
-}
-
-void
-Appliance::processRequestProbed(const trace::Request &req,
-                                DailyReport &rep)
-{
-    SIEVE_DCHECK(flatEnginesOnly());
-    const bool is_read = req.op == trace::Op::Read;
-
-    // Page-coalescing state, exactly as in the scalar loop.
     uint64_t last_hit_page = UINT64_MAX;
     uint64_t last_alloc_page = UINT64_MAX;
 
@@ -501,18 +366,19 @@ Appliance::processRequestProbed(const trace::Request &req,
         // consult the pending set and the sieve tiers; start their
         // lines (pending home slot, IMCT slot, MCT home slot) toward
         // L1 before the in-order pass issues its dependent loads.
-        for (uint32_t i = 0; i < n; ++i) {
-            if (st[i] == nullptr) {
-                pending.prefetch(keys[i]);
-                fsieve_->prefetchMiss(keys[i]);
+        if (!discrete) {
+            for (uint32_t i = 0; i < n; ++i) {
+                if (st[i] == nullptr) {
+                    pending.prefetch(keys[i]);
+                    sieve_->prefetchMiss(keys[i]);
+                }
             }
         }
 
-        // Phase 3 — decide + mutate, in batch order: bookkeeping
-        // identical to processRequestInto, with the residency probe
-        // already resolved. Policy transitions touch payloads and the
-        // order book, never the index structure, so duplicates simply
-        // retouch the same gathered slot.
+        // Phase 3 — decide + mutate, in block order, with the
+        // residency probe already resolved. Hit transitions touch
+        // policy state (slot payloads, order books or the custom
+        // policy), never the index structure.
         for (uint32_t i = 0; i < n; ++i) {
             const BlockId block = keys[i];
             const uint64_t page = trace::blockNrOf(block) /
@@ -524,6 +390,8 @@ Appliance::processRequestProbed(const trace::Request &req,
             ++rep.accesses;
             if (is_read)
                 ++rep.read_accesses;
+            if (discrete)
+                observed_[i] = access;
 
             if (st[i] != nullptr) {
                 cache_.touchProbed(block, *st[i]);
@@ -537,18 +405,23 @@ Appliance::processRequestProbed(const trace::Request &req,
                     if (is_read) {
                         ++rep.ssd_read_ios;
                         stageRead(req.time, block);
+                        if (occupancy_)
+                            occupancy_->recordReads(req.time, 1);
                     } else {
                         ++rep.ssd_write_ios;
                         stageWrite(req.time, block);
+                        if (occupancy_)
+                            occupancy_->recordWrites(req.time, 1);
                     }
                 }
-                fsieve_->onHit(access);
+                if (!discrete)
+                    sieve_->onHit(access);
                 continue;
             }
 
-            if (pending.contains(block))
-                continue; // allocation already in flight
-            if (fsieve_->onMiss(access) == AllocDecision::Allocate) {
+            if (discrete || pending.contains(block))
+                continue; // observed above, or allocation in flight
+            if (sieve_->onMiss(access) == AllocDecision::Allocate) {
                 notePending(block);
                 const bool new_unit = page != last_alloc_page;
                 last_alloc_page = page;
@@ -556,6 +429,12 @@ Appliance::processRequestProbed(const trace::Request &req,
                     PendingAlloc{access.completion, block, new_unit});
             }
         }
+
+        // Phase 4 — the selector observes the chunk in one call, so
+        // hash-table-backed selectors get the batched hash-ahead path.
+        if (discrete)
+            selector_->observeBatch(
+                std::span<const trace::BlockAccess>(observed_, n));
     }
 }
 
@@ -585,18 +464,9 @@ Appliance::processBatch(std::span<const trace::Request> batch)
     // exemptions are the explicit amortized-growth points (sieve
     // tables, the pending set, the allocation heap).
     SIEVE_ASSERT_NO_ALLOC_WHEN(flatEnginesOnly());
-    if (flatEnginesOnly() && batchKernelEnabled()) {
-        // Batched lookup kernel: same per-request drain cadence as the
-        // scalar loop (bit-identity depends on it — a drain can insert
-        // into the cache, which would invalidate gathered pointers and
-        // flip later probes), with each request's blocks resolved
-        // through the probe-gather -> sieve-prefetch -> decide phases.
-        for (const trace::Request &req : batch) {
-            drainAllocations(req.time);
-            processRequestProbed(req, rep);
-        }
-        return;
-    }
+    // Drain between requests, never within one: a drain can insert
+    // into the cache, which would invalidate the body's gathered
+    // pointers and flip later probes.
     for (const trace::Request &req : batch) {
         drainAllocations(req.time);
         processRequestInto(req, rep);
@@ -622,15 +492,10 @@ Appliance::finishDay(int day)
     // switch thresholds here) and record the outcome in the day's
     // tuning columns. Thresholds are model-side data, so the columns
     // stay bit-identical across storage backends and shard layouts.
-    if (fsieve_ || policy_) {
-        const std::optional<SieveTuning> before =
-            fsieve_ ? fsieve_->tuning() : policy_->tuning();
-        if (fsieve_)
-            fsieve_->onDayClose(day);
-        else
-            policy_->onDayClose(day);
-        const std::optional<SieveTuning> after =
-            fsieve_ ? fsieve_->tuning() : policy_->tuning();
+    if (sieve_) {
+        const std::optional<SieveTuning> before = sieve_->tuning();
+        sieve_->onDayClose(day);
+        const std::optional<SieveTuning> after = sieve_->tuning();
         if (after && day >= 0) {
             const size_t slot = static_cast<size_t>(day);
             if (slot >= reports.size())
@@ -701,29 +566,20 @@ Appliance::occupancy() const
 const char *
 Appliance::policyName() const
 {
-    if (fsieve_)
-        return fsieve_->name();
-    return policy_ ? policy_->name() : selector_->name();
+    return sieve_ ? sieve_->name() : selector_->name();
 }
 
 uint64_t
 Appliance::metastateBytes() const
 {
-    if (fsieve_)
-        return fsieve_->metastateBytes();
-    return policy_ ? policy_->metastateBytes()
-                   : selector_->metastateBytes();
+    return sieve_ ? sieve_->metastateBytes() : selector_->metastateBytes();
 }
 
 void
 Appliance::checkInvariants() const
 {
-    // Exactly one allocation mechanism.
-    const int engines = (fsieve_.has_value() ? 1 : 0) +
-                        (policy_ ? 1 : 0) + (selector_ ? 1 : 0);
-    SIEVE_CHECK(engines == 1,
-                "appliance must have exactly one of sieve spec / "
-                "policy / selector, has %d", engines);
+    SIEVE_CHECK(sieve_.has_value() != (selector_ != nullptr),
+                "appliance must have exactly one of sieve / selector");
     cache_.checkInvariants();
 
     // Every in-flight allocation is tracked in both structures, and
@@ -788,10 +644,8 @@ Appliance::checkInvariants() const
                         model_w + t.batch_moved_blocks));
     }
 
-    if (fsieve_)
-        fsieve_->checkInvariants();
-    if (policy_)
-        policy_->checkInvariants();
+    if (sieve_)
+        sieve_->checkInvariants();
     if (selector_)
         selector_->checkInvariants();
 }

@@ -69,17 +69,16 @@ struct ApplianceConfig
         replacement;
     /**
      * Built-in continuous sieve for the spec-driven constructor
-     * (defaults to AOD). The flat build runs it through the
-     * switch-dispatch FlatSieve engine; -DSIEVE_FLAT_SIEVE=OFF routes
-     * it to the virtual reference policies instead. Ignored when
-     * `allocation` is set or when a policy/selector is passed
-     * explicitly.
+     * (defaults to AOD), run by the switch-dispatch FlatSieve engine.
+     * Ignored when `allocation` is set or when a policy/selector is
+     * passed explicitly.
      */
     SievePolicySpec sieve;
     /**
      * Custom allocation-policy factory; null selects `sieve` above.
      * Mirrors `replacement`: the flat-vs-reference differential suite
-     * uses it to pin the virtual engine per appliance.
+     * uses it to run the virtual reference policy in FlatSieve's
+     * custom mode.
      */
     std::function<std::unique_ptr<AllocationPolicy>()> allocation;
     /**
@@ -174,23 +173,11 @@ struct DailyReport
 DailyReport sumReports(const std::vector<DailyReport> &days);
 
 /**
- * Runtime switch for the batched FlatIndex lookup kernel inside
- * Appliance::processBatch (probe-gather -> sieve-prefetch -> decide
- * phases). Seeded ON at startup unless the build disables it
- * (-DSIEVE_BATCH_KERNEL=OFF) or the SIEVE_BATCH_SIMD-style environment
- * variable SIEVE_BATCH_KERNEL is "0". The kernel is bit-identical to
- * the scalar path by construction (proven by the batchkernel
- * differential suite), so this toggle exists for differential tests
- * and for benchmarking the scalar floor — not for correctness.
+ * Always true: the batched probe-gather body is the appliance's only
+ * per-request body. Kept solely because bench/e2e's host block still
+ * reports it as `batch_kernel`; delete it together with that field.
  */
-bool batchKernelEnabled();
-
-/**
- * Force the kernel dispatch (a no-op returning false when the build
- * disabled it). Not thread-safe: set before spawning replay workers.
- * @return the value actually in effect
- */
-bool setBatchKernel(bool enabled);
+inline bool batchKernelEnabled() { return true; }
 
 /**
  * The appliance simulator. Construct with either a continuous
@@ -205,12 +192,13 @@ class Appliance
     /**
      * Continuous-allocation appliance driven by config.sieve (or the
      * config.allocation factory when set). This is the hot-path
-     * constructor: with the flat build the sieve consultation is
-     * switch dispatch with all policy state held by value.
+     * constructor: the sieve consultation is switch dispatch with all
+     * policy state held by value.
      */
     explicit Appliance(ApplianceConfig config);
 
-    /** Continuous-allocation appliance with an explicit policy. */
+    /** Continuous-allocation appliance with an explicit policy (run in
+     * FlatSieve's custom mode). */
     Appliance(ApplianceConfig config,
               std::unique_ptr<AllocationPolicy> policy);
 
@@ -233,8 +221,8 @@ class Appliance
      * boundaries). Semantically identical to calling processRequest on
      * each element; the batch form hoists the day-report lookup out of
      * the per-request path and, when every engine on the path is flat
-     * (spec sieve + flat cache, no selector, no occupancy tracker),
-     * arms SIEVE_ASSERT_NO_ALLOC over the whole batch.
+     * (flatEnginesOnly()), arms SIEVE_ASSERT_NO_ALLOC over the whole
+     * batch.
      */
     void processBatch(std::span<const trace::Request> batch);
 
@@ -297,26 +285,24 @@ class Appliance
   private:
     DailyReport &reportFor(util::TimeUs t);
     void drainAllocations(util::TimeUs up_to);
-    /** Shared per-request hot loop; `rep` is the request's day report. */
-    void processRequestInto(const trace::Request &req, DailyReport &rep);
     /**
-     * Batched-kernel variant of processRequestInto for the flat-engine
-     * configuration: each chunk of <= cache::BlockCache::kProbeBatch
-     * blocks runs probe-gather (one findBatch over the cache index),
-     * then sieve-prefetch (IMCT/MCT/pending lines for the gathered
-     * misses), then an in-order decide+mutate pass with bookkeeping
-     * identical to the scalar loop. Bit-identical by construction:
-     * nothing mutates the cache index within a request (allocations
-     * drain between requests), so the gathered pointers and hit/miss
-     * partition match what N scalar probes would see.
-     * @pre flatEnginesOnly()
+     * The per-request body; `rep` is the request's day report. Each
+     * chunk of <= cache::BlockCache::kProbeBatch blocks runs
+     * probe-gather (one findBatch over the cache index), then
+     * sieve-prefetch (IMCT/MCT/pending lines for the gathered misses),
+     * then an in-order decide+mutate pass, and finally hands the
+     * chunk's accesses to the discrete selector, if any. The gathered
+     * pointers and hit/miss partition are exact: nothing mutates the
+     * cache index within a request (allocations drain between
+     * requests, hits only touch policy state).
      */
-    void processRequestProbed(const trace::Request &req, DailyReport &rep);
+    void processRequestInto(const trace::Request &req, DailyReport &rep);
     /**
      * True when every engine on the request path is flat (spec-driven
      * sieve, flat cache, no discrete selector, no occupancy tracker):
      * the configurations whose hot loop is claimed — and then
-     * enforced — to be allocation-free per batch.
+     * enforced — to be allocation-free per batch. It selects the
+     * no-alloc region only; every configuration runs the same body.
      */
     bool flatEnginesOnly() const;
     void initOccupancy();
@@ -344,10 +330,9 @@ class Appliance
     void stageBatchMove(util::TimeUs t);
 
     ApplianceConfig cfg;
-    /** Spec-driven sieve engine (flat build; exactly one of these
-     * three allocation mechanisms is active). */
-    std::optional<FlatSieve> fsieve_;
-    std::unique_ptr<AllocationPolicy> policy_;
+    /** Continuous sieve (spec-driven or custom); exactly one of the
+     * sieve and the selector is set. */
+    std::optional<FlatSieve> sieve_;
     std::unique_ptr<DiscreteSelector> selector_;
     cache::BlockCache cache_;
     std::unique_ptr<ssd::DriveOccupancyTracker> occupancy_;
@@ -402,6 +387,11 @@ class Appliance
     size_t n_stage_reads_ = 0;
     size_t n_stage_writes_ = 0;
     size_t n_stage_trims_ = 0;
+    /** The discrete selector's staged observations for one probe
+     * chunk. A member, not a per-request local: trace::BlockAccess
+     * has default member initializers, so a local array would be
+     * zero-filled on every request. */
+    trace::BlockAccess observed_[cache::BlockCache::kProbeBatch];
     /** batchReplace move capture, reused across epoch boundaries. */
     std::vector<trace::BlockId> batch_alloc_scratch_;
     std::vector<trace::BlockId> batch_evict_scratch_;

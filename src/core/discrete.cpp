@@ -31,9 +31,9 @@ AdbaSelector::AdbaSelector(uint64_t threshold,
 }
 
 // SIEVE_MAY_ALLOC: the selector's disk log and counters grow
-// amortized buffers. A configured selector makes
-// Appliance::flatEnginesOnly() false, so the batch-level no-alloc
-// region never arms over this path.
+// amortized buffers. The appliance arms its batch-level no-alloc
+// region only for flat continuous configurations (no selector), so
+// the region never covers this path.
 void SIEVE_MAY_ALLOC
 AdbaSelector::observe(const trace::BlockAccess &access)
 {

@@ -80,9 +80,19 @@ FlatSieve::FlatSieve(const SievePolicySpec &spec)
 {
 }
 
+FlatSieve::FlatSieve(std::unique_ptr<AllocationPolicy> policy)
+    : FlatSieve(SievePolicySpec{})
+{
+    if (!policy)
+        util::fatal("custom sieve requires an allocation policy");
+    custom_ = std::move(policy);
+}
+
 const char *
 FlatSieve::name() const
 {
+    if (custom_)
+        return custom_->name();
     // SieveStore-C owns its name so the ablation suffixes
     // ("/imct-only", "/mct-only") stay in one place.
     if (kind_ == SieveKind::SieveStoreC)
@@ -95,6 +105,8 @@ FlatSieve::name() const
 uint64_t
 FlatSieve::metastateBytes() const
 {
+    if (custom_)
+        return custom_->metastateBytes();
     // AOD/WMNA/RandSieve-C report zero like their reference policies;
     // the inactive embedded SieveStore-C state must not leak into
     // cost reports.
@@ -108,7 +120,9 @@ FlatSieve::metastateBytes() const
 void
 FlatSieve::checkInvariants() const
 {
-    if (kind_ == SieveKind::SieveStoreC)
+    if (custom_)
+        custom_->checkInvariants();
+    else if (kind_ == SieveKind::SieveStoreC)
         sieve_c_.SieveStoreCPolicy::checkInvariants();
     else if (kind_ == SieveKind::Adaptive)
         adaptive_.AdaptiveSievePolicy::checkInvariants();

@@ -16,11 +16,15 @@
  * Decision parity is by construction, not by reimplementation: the
  * stateful kinds (SieveStore-C, RandSieve-C) are embedded as value
  * members and consulted through qualified (statically bound) calls
- * into the *same* implementation the virtual engine runs. The virtual
- * hierarchy survives as the reference engine behind
- * -DSIEVE_FLAT_SIEVE=OFF (macro SIEVE_REFERENCE_SIEVE), selected via
- * ApplianceConfig exactly like `replacement`, and the differential
- * suite proves the two engines bit-identical per day and per field.
+ * into the *same* implementation the virtual engine runs.
+ *
+ * Like cache::BlockCache, FlatSieve has a custom mode: constructed
+ * from an AllocationPolicy, it forwards every call to that virtual
+ * policy. The appliance therefore holds one sieve whatever drives it.
+ * Custom mode carries the reference oracles (makeReferenceSievePolicy,
+ * requested through ApplianceConfig::allocation exactly like
+ * `replacement`), and the differential suite proves the two modes
+ * bit-identical per day and per field.
  */
 
 #ifndef SIEVESTORE_CORE_SIEVE_SPEC_HPP
@@ -93,9 +97,8 @@ struct SievePolicySpec
 
 /**
  * The virtual-engine counterpart of a spec: the seed AllocationPolicy
- * implementation making identical decisions. Used by the
- * SIEVE_FLAT_SIEVE=OFF build and pinned explicitly by the
- * flat-vs-reference differential tests.
+ * implementation making identical decisions. The flat-vs-reference
+ * differential tests run it through FlatSieve's custom mode.
  */
 std::unique_ptr<AllocationPolicy>
 makeReferenceSievePolicy(const SievePolicySpec &spec);
@@ -104,18 +107,31 @@ makeReferenceSievePolicy(const SievePolicySpec &spec);
  * Switch-dispatch executor for a SievePolicySpec. All policy state
  * lives inline (by value), so a sieve consultation is a predictable
  * branch plus a direct call — no vtable load, no pointer chase — and
- * the stateless kinds (AOD, WMNA) fold into the caller entirely.
+ * the stateless kinds (AOD, WMNA) fold into the caller entirely. The
+ * custom mode costs every call one predictable branch, the `custom_`
+ * test.
  */
 class FlatSieve
 {
   public:
     explicit FlatSieve(const SievePolicySpec &spec);
 
+    /**
+     * Custom-mode sieve driving a virtual policy (a reference oracle or
+     * a caller-supplied AllocationPolicy). The spec side stays at the
+     * default AOD kind, so the kind-gated hooks (prefetchMiss) are
+     * no-ops without a custom test of their own. A null policy is a
+     * configuration error (util::fatal).
+     */
+    explicit FlatSieve(std::unique_ptr<AllocationPolicy> policy);
+
     /** Consulted on every miss; see AllocationPolicy::onMiss.
      * Taint sink: the admit decision must never see measured data. */
     SIEVE_TAINT_SINK AllocDecision
     onMiss(const trace::BlockAccess &access)
     {
+        if (custom_) [[unlikely]]
+            return custom_->onMiss(access);
         switch (kind_) {
           case SieveKind::Aod:
             return AllocDecision::Allocate;
@@ -162,7 +178,9 @@ class FlatSieve
      */
     SIEVE_TAINT_SINK void onHit(const trace::BlockAccess &access)
     {
-        if (kind_ == SieveKind::Adaptive)
+        if (custom_) [[unlikely]]
+            custom_->onHit(access);
+        else if (kind_ == SieveKind::Adaptive)
             adaptive_.AdaptiveSievePolicy::onHit(access);
     }
 
@@ -173,7 +191,9 @@ class FlatSieve
      */
     void onDayClose(int day)
     {
-        if (kind_ == SieveKind::Adaptive)
+        if (custom_)
+            custom_->onDayClose(day);
+        else if (kind_ == SieveKind::Adaptive)
             adaptive_.AdaptiveSievePolicy::onDayClose(day);
     }
 
@@ -181,6 +201,8 @@ class FlatSieve
     std::optional<SieveTuning>
     tuning() const
     {
+        if (custom_)
+            return custom_->tuning();
         if (kind_ == SieveKind::Adaptive)
             return adaptive_.AdaptiveSievePolicy::tuning();
         return std::nullopt;
@@ -194,13 +216,17 @@ class FlatSieve
 
     /**
      * Audit the active kind's invariants (delegates to the embedded
-     * SieveStore-C state when that kind is selected; the other kinds
-     * are stateless or opaque-RNG and have nothing to audit). Aborts
-     * on violation.
+     * SieveStore-C state when that kind is selected, or to the custom
+     * policy; the other kinds are stateless or opaque-RNG and have
+     * nothing to audit). Aborts on violation.
      */
     void checkInvariants() const;
 
+    /** Spec kind (AOD in custom mode). */
     SieveKind kind() const { return kind_; }
+
+    /** The custom policy, or nullptr when the spec kind is active. */
+    const AllocationPolicy *custom() const { return custom_.get(); }
 
     /** Embedded SieveStore-C state (valid when kind()==SieveStoreC). */
     const SieveStoreCPolicy &sieveC() const { return sieve_c_; }
@@ -210,6 +236,9 @@ class FlatSieve
 
   private:
     SieveKind kind_;
+    /** Non-null selects custom mode. Declared beside kind_ so the
+     * custom test reads the cache line the dispatch reads anyway. */
+    std::unique_ptr<AllocationPolicy> custom_;
     /** SieveStore-C state; 1-slot IMCT when another kind is active. */
     SieveStoreCPolicy sieve_c_;
     RandSieveCPolicy rand_;

@@ -14,6 +14,7 @@ namespace sim {
 bool
 defaultCheckInvariants()
 {
+    // sieve-lint: allow(env-knob) audits on or off without a rebuild
     if (const char *env = std::getenv("SIEVE_CHECK_INVARIANTS"))
         return std::strcmp(env, "0") != 0;
     return SIEVE_DCHECKS_ENABLED;

@@ -55,10 +55,10 @@ makeAppliance(const PolicyConfig &policy,
                                            std::move(selector));
       }
       case PolicyKind::SieveStoreC: {
-        // Continuous kinds go through the spec-driven constructor:
-        // the flat build runs them on the switch-dispatch FlatSieve
-        // engine, the SIEVE_FLAT_SIEVE=OFF build (or an explicit
-        // appliance.allocation factory) on the virtual references.
+        // Continuous kinds go through the spec-driven constructor,
+        // which runs them on the switch-dispatch FlatSieve engine (or,
+        // when appliance.allocation is set, runs that factory's
+        // virtual policy in FlatSieve's custom mode).
         core::ApplianceConfig cfg = appliance;
         cfg.sieve.kind = core::SieveKind::SieveStoreC;
         cfg.sieve.sieve_c = policy.sieve_c;

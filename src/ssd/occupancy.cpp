@@ -18,9 +18,9 @@ DriveOccupancyTracker::DriveOccupancyTracker(SsdModel model)
 }
 
 // SIEVE_MAY_ALLOC: per-minute load buckets grow amortized, once per
-// simulated minute. A configured occupancy tracker makes
-// Appliance::flatEnginesOnly() false, so the batch-level no-alloc
-// region never arms over this path.
+// simulated minute. The appliance arms its batch-level no-alloc
+// region only when no occupancy tracker is configured, so the region
+// never covers this path.
 void SIEVE_MAY_ALLOC
 DriveOccupancyTracker::ensureMinute(size_t minute)
 {

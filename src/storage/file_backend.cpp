@@ -80,6 +80,7 @@ allocAligned()
 FileBackendConfig::Engine
 resolveEngine(FileBackendConfig::Engine configured)
 {
+    // sieve-lint: allow(env-knob) io_uring may be built yet unusable
     const char *env = std::getenv("SIEVE_STORAGE_ENGINE");
     if (env == nullptr)
         return configured;
@@ -98,6 +99,7 @@ FileBackend::FileBackend(const FileBackendConfig &config)
     std::string path = config.path;
     bool temp = path.empty();
     if (temp) {
+        // sieve-lint: allow(env-knob) platform scratch-dir convention
         const char *dir = std::getenv("TMPDIR");
         path = std::string(dir && *dir ? dir : "/tmp") +
                "/sievestore-store-XXXXXX";

@@ -39,6 +39,7 @@ initialSimd()
     // start (CI's sanitizer matrix runs the batchkernel suites both
     // ways); any other value — or none — takes the AVX2 path when the
     // CPU has it.
+    // sieve-lint: allow(env-knob) tests the non-AVX2 loop on any host
     const char *env = std::getenv("SIEVE_BATCH_SIMD");
     return env == nullptr || env[0] != '0';
 }

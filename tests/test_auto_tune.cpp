@@ -341,8 +341,8 @@ TEST(AdaptiveSieve, ApplianceFillsTuningColumnsIdenticallyAcrossEngines)
     auto flat_app = sim::makeAppliance(policy, flat_cfg);
 
     // Reference engine: the same AdaptiveSievePolicy behind the
-    // virtual AllocationPolicy interface, exactly as the
-    // SIEVE_FLAT_SIEVE=OFF build would run it.
+    // virtual AllocationPolicy interface, run in FlatSieve's custom
+    // mode through the allocation factory.
     AdaptiveSieveConfig ref_adaptive = policy.adaptive;
     ref_adaptive.base = policy.sieve_c;
     ApplianceConfig ref_cfg = flat_cfg;

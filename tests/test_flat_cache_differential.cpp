@@ -16,12 +16,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "cache/block_cache.hpp"
 #include "cache/replacement.hpp"
 #include "core/appliance.hpp"
+#include "core/discrete.hpp"
 #include "core/sieve_spec.hpp"
 #include "sim/driver.hpp"
 #include "sim/experiment.hpp"
@@ -44,9 +48,11 @@ const EvictionKind kAllKinds[] = {EvictionKind::Lru, EvictionKind::Fifo,
 
 /**
  * Drive both engines with an identical random stream of access /
- * insert / erase and require identical observable behavior after
- * every single operation: hit results, eviction victims, residency,
- * and size.
+ * insert / erase / batched touch and require identical observable
+ * behavior after every single operation: hit results, eviction
+ * victims, residency, and size. The batched touch runs the custom
+ * engine's probe-gather hit path (the one the appliance uses) against
+ * the flat engine's.
  */
 void
 differentialOpStream(EvictionKind kind, uint64_t capacity,
@@ -65,6 +71,23 @@ differentialOpStream(EvictionKind kind, uint64_t capacity,
             const bool f = flat.erase(b);
             const bool r = reference.erase(b);
             ASSERT_EQ(f, r) << label << " erase(" << b << ") op " << op;
+            break;
+          }
+          case 1: { // touchBatch over a short run of keys
+            BlockId run[8];
+            const size_t n = 1 + rng.nextBelow(8);
+            for (size_t i = 0; i < n; ++i)
+                run[i] = (b + i) % key_space;
+            bool f_hit[8];
+            bool r_hit[8];
+            flat.touchBatch(std::span<const BlockId>(run, n),
+                            std::span<bool>(f_hit, n));
+            reference.touchBatch(std::span<const BlockId>(run, n),
+                                 std::span<bool>(r_hit, n));
+            for (size_t i = 0; i < n; ++i)
+                ASSERT_EQ(f_hit[i], r_hit[i])
+                    << label << " touchBatch key " << run[i] << " op "
+                    << op;
             break;
           }
           default: { // access, insert on miss (the appliance hot path)
@@ -275,9 +298,9 @@ TEST(FlatCacheDifferential, ApplianceReportsMatchAcrossPolicyMatrix)
  * Same claim, one layer up: the switch-dispatch FlatSieve engine must
  * make bit-identical allocation decisions to the virtual
  * AllocationPolicy hierarchy it devirtualized. The reference engine
- * is requested exactly the way SIEVE_FLAT_SIEVE=OFF builds do — via a
- * factory returning makeReferenceSievePolicy(spec) — so the test
- * exercises both dispatch paths in a single binary.
+ * is requested through ApplianceConfig::allocation — a factory
+ * returning makeReferenceSievePolicy(spec), run in FlatSieve's custom
+ * mode — so the test exercises both dispatch paths in a single binary.
  */
 TEST(FlatSieveDifferential, ApplianceReportsMatchReferenceSieve)
 {
@@ -378,77 +401,121 @@ TEST(FlatSieveDifferential, SieveCAblationsMatchReferenceSieve)
 
 // ---- batched-kernel differential ----------------------------------
 
+/** Same per-minute drive load on both appliances (occupancy rows). */
+void
+expectOccupancyEq(const core::Appliance &flat,
+                  const core::Appliance &reference,
+                  const std::string &where)
+{
+    ASSERT_EQ(flat.occupancy() == nullptr,
+              reference.occupancy() == nullptr) << where;
+    if (flat.occupancy() == nullptr)
+        return;
+    EXPECT_EQ(flat.occupancy()->totalReadIos(),
+              reference.occupancy()->totalReadIos()) << where;
+    EXPECT_EQ(flat.occupancy()->totalWriteIos(),
+              reference.occupancy()->totalWriteIos()) << where;
+    EXPECT_EQ(flat.occupancy()->drivesSeries(),
+              reference.occupancy()->drivesSeries()) << where;
+}
+
 /**
- * The processBatch phase-restructure claim: the batched FlatIndex
- * lookup kernel (probe-gather -> sieve-prefetch -> decide inside
- * processRequestProbed) produces per-day DailyReports bit-identical
- * to the scalar per-request loop, for every probe-loop dispatch
- * (AVX2 on/off), every decode batch size, and every flat engine
- * combination (eviction kind × sieve kind).
+ * The appliance's one request body (probe-gather -> sieve-prefetch ->
+ * decide) on the flat engines against the Reference* oracles replayed
+ * one request per batch: per-day DailyReports must be bit-identical
+ * for every eviction kind, every continuous sieve and SieveStore-D,
+ * with occupancy tracking off (the no-alloc configuration) and on,
+ * every probe-loop dispatch (AVX2 on/off) and every decode batch
+ * size.
  */
-TEST(BatchKernelDifferential, ProcessBatchMatchesScalarAcrossMatrix)
+TEST(BatchKernelDifferential, ProcessBatchMatchesReferenceAcrossMatrix)
 {
     const auto reqs = randomTrace(555, 3000);
-    const core::SieveKind sieves[] = {
+    // Every continuous sieve, then SieveStore-D (nullopt).
+    const std::optional<core::SieveKind> sieves[] = {
         core::SieveKind::Aod, core::SieveKind::Wmna,
-        core::SieveKind::SieveStoreC, core::SieveKind::RandSieveC};
-    const bool prior_kernel = core::batchKernelEnabled();
+        core::SieveKind::SieveStoreC, core::SieveKind::RandSieveC,
+        std::nullopt};
     const bool prior_simd = util::batchSimdEnabled();
 
-    for (const EvictionKind ek : kAllKinds) {
-        for (const core::SieveKind sk : sieves) {
-            core::ApplianceConfig cfg;
-            cfg.cache_blocks = 512;
-            cfg.track_occupancy = false; // flat-engine configuration
-            cfg.eviction = EvictionSpec{ek, 21};
-            cfg.sieve.kind = sk;
-            cfg.sieve.rand_probability = 0.05;
-            cfg.sieve.rand_seed = 17;
-            cfg.sieve.sieve_c.imct_slots = 1 << 12;
+    for (size_t k = 0; k < kEvictionKindCount; ++k) {
+        const EvictionSpec espec{static_cast<EvictionKind>(k), 21};
+        for (const std::optional<core::SieveKind> sk : sieves) {
+            for (const bool occupancy : {false, true}) {
+                core::ApplianceConfig cfg;
+                cfg.cache_blocks = 512;
+                cfg.track_occupancy = occupancy;
+                cfg.eviction = espec;
+                cfg.sieve.kind = sk.value_or(core::SieveKind::Aod);
+                cfg.sieve.rand_probability = 0.05;
+                cfg.sieve.rand_seed = 17;
+                cfg.sieve.sieve_c.imct_slots = 1 << 12;
+                const auto make = [&sk](core::ApplianceConfig c) {
+                    if (sk)
+                        return std::make_unique<core::Appliance>(
+                            std::move(c));
+                    return std::make_unique<core::Appliance>(
+                        std::move(c),
+                        std::make_unique<core::AdbaSelector>(3));
+                };
 
-            // Baseline: the scalar per-request loop, kernel pinned off.
-            core::setBatchKernel(false);
-            core::Appliance scalar_app(cfg);
-            trace::VectorTrace scalar_trace(reqs);
-            sim::runTrace(scalar_trace, scalar_app);
-            const std::vector<DailyReport> scalar_days =
-                scalar_app.daily();
-
-            for (const bool simd : {false, true}) {
-                if (simd && !util::batchSimdSupported())
-                    continue;
-                for (const size_t batch : {size_t{1}, size_t{8},
-                                           size_t{64}}) {
-                    core::setBatchKernel(true);
-                    util::setBatchSimd(simd);
-                    core::Appliance kernel_app(cfg);
-                    trace::VectorTrace kernel_trace(reqs);
-                    sim::DriverOptions options;
-                    options.batch = batch;
-                    sim::runTrace(kernel_trace, kernel_app, options);
-
-                    const std::string label =
-                        std::string(evictionKindName(ek)) + " x " +
-                        core::sieveKindName(sk) +
-                        (simd ? " avx2" : " scalar-probe") +
-                        " batch " + std::to_string(batch);
-                    const auto &kd = kernel_app.daily();
-                    ASSERT_EQ(kd.size(), scalar_days.size()) << label;
-                    ASSERT_GE(kd.size(), 2u)
-                        << label << ": trace must span multiple days";
-                    for (size_t d = 0; d < kd.size(); ++d)
-                        expectReportEq(kd[d], scalar_days[d],
-                                       label + " day " +
-                                           std::to_string(d));
-                    expectReportEq(kernel_app.totals(),
-                                   scalar_app.totals(),
-                                   label + " totals");
-                    kernel_app.checkInvariants();
+                // Baseline: the Reference* oracles, one request per
+                // batch.
+                core::ApplianceConfig ref_cfg = cfg;
+                ref_cfg.replacement = [espec] {
+                    return makeReferencePolicy(espec, 512);
+                };
+                if (sk) {
+                    const core::SievePolicySpec spec = cfg.sieve;
+                    ref_cfg.allocation = [spec] {
+                        return core::makeReferenceSievePolicy(spec);
+                    };
                 }
+                const auto ref_app = make(ref_cfg);
+                trace::VectorTrace ref_trace(reqs);
+                sim::DriverOptions one;
+                one.batch = 1;
+                sim::runTrace(ref_trace, *ref_app, one);
+                const std::string row =
+                    std::string(evictionKindName(espec.kind)) + " x " +
+                    ref_app->policyName() +
+                    (occupancy ? " occupancy" : "");
+
+                for (const bool simd : {false, true}) {
+                    if (simd && !util::batchSimdSupported())
+                        continue;
+                    for (const size_t batch : {size_t{1}, size_t{8},
+                                               size_t{64}}) {
+                        util::setBatchSimd(simd);
+                        const auto flat_app = make(cfg);
+                        trace::VectorTrace flat_trace(reqs);
+                        sim::DriverOptions options;
+                        options.batch = batch;
+                        sim::runTrace(flat_trace, *flat_app, options);
+
+                        const std::string label =
+                            row + (simd ? " avx2" : " scalar-probe") +
+                            " batch " + std::to_string(batch);
+                        const auto &fd = flat_app->daily();
+                        const auto &rd = ref_app->daily();
+                        ASSERT_EQ(fd.size(), rd.size()) << label;
+                        ASSERT_GE(fd.size(), 2u)
+                            << label << ": trace must span multiple days";
+                        for (size_t d = 0; d < fd.size(); ++d)
+                            expectReportEq(fd[d], rd[d],
+                                           label + " day " +
+                                               std::to_string(d));
+                        expectReportEq(flat_app->totals(),
+                                       ref_app->totals(),
+                                       label + " totals");
+                        expectOccupancyEq(*flat_app, *ref_app, label);
+                        flat_app->checkInvariants();
+                    }
+                }
+                ref_app->checkInvariants();
             }
         }
     }
-    core::setBatchKernel(prior_kernel);
     util::setBatchSimd(prior_simd);
 }
 

@@ -4,9 +4,10 @@
  * ARC, W-TinyLFU) run through the same differential gauntlet that
  * proved the original flat engines — op-for-op equality against the
  * node-based reference policies, batchReplace parity, appliance-level
- * report equality across the sieve-policy matrix, batched-kernel
- * bit-identity, and sharded parallel replay at batch=64 against the
- * serial batch=1 golden. Plus the fabric-specific properties: ARC's
+ * report equality across the sieve-policy matrix, and sharded
+ * parallel replay at batch=64 against the serial batch=1 golden (the
+ * batched request body's differential covers every kind in
+ * test_flat_cache_differential). Plus the fabric-specific properties: ARC's
  * adaptation target stays inside [0, c] and its ghost directories
  * inside their budgets under adversarial streams.
  */
@@ -353,94 +354,16 @@ TEST(PolicyFabric, ApplianceReportsMatchAcrossPolicyMatrix)
     }
 }
 
-// ---- batched-kernel differential ----------------------------------
-
-/**
- * The fabric kinds inside the batched kernel: probe-gather ->
- * sieve-prefetch -> decide must stay bit-identical to the scalar
- * per-request loop for SIEVE/ARC/TinyLFU (whose hit transitions do
- * arena surgery, not just payload writes) across AVX2 on/off and
- * decode batch sizes.
- */
-TEST(PolicyFabric, ProcessBatchMatchesScalarAcrossFabricKinds)
-{
-    const auto reqs = randomTrace(555, 3000);
-    const core::SieveKind sieves[] = {
-        core::SieveKind::Aod, core::SieveKind::Wmna,
-        core::SieveKind::SieveStoreC, core::SieveKind::RandSieveC};
-    const bool prior_kernel = core::batchKernelEnabled();
-    const bool prior_simd = util::batchSimdEnabled();
-
-    for (const EvictionKind ek : kFabricKinds) {
-        for (const core::SieveKind sk : sieves) {
-            core::ApplianceConfig cfg;
-            cfg.cache_blocks = 512;
-            cfg.track_occupancy = false; // flat-engine configuration
-            cfg.eviction = EvictionSpec{ek, 21};
-            cfg.sieve.kind = sk;
-            cfg.sieve.rand_probability = 0.05;
-            cfg.sieve.rand_seed = 17;
-            cfg.sieve.sieve_c.imct_slots = 1 << 12;
-
-            // Baseline: the scalar per-request loop, kernel pinned off.
-            core::setBatchKernel(false);
-            core::Appliance scalar_app(cfg);
-            trace::VectorTrace scalar_trace(reqs);
-            sim::runTrace(scalar_trace, scalar_app);
-            const std::vector<DailyReport> scalar_days =
-                scalar_app.daily();
-
-            for (const bool simd : {false, true}) {
-                if (simd && !util::batchSimdSupported())
-                    continue;
-                for (const size_t batch : {size_t{1}, size_t{8},
-                                           size_t{64}}) {
-                    core::setBatchKernel(true);
-                    util::setBatchSimd(simd);
-                    core::Appliance kernel_app(cfg);
-                    trace::VectorTrace kernel_trace(reqs);
-                    sim::DriverOptions options;
-                    options.batch = batch;
-                    sim::runTrace(kernel_trace, kernel_app, options);
-
-                    const std::string label =
-                        std::string(evictionKindName(ek)) + " x " +
-                        core::sieveKindName(sk) +
-                        (simd ? " avx2" : " scalar-probe") +
-                        " batch " + std::to_string(batch);
-                    const auto &kd = kernel_app.daily();
-                    ASSERT_EQ(kd.size(), scalar_days.size()) << label;
-                    ASSERT_GE(kd.size(), 2u)
-                        << label << ": trace must span multiple days";
-                    for (size_t d = 0; d < kd.size(); ++d)
-                        expectReportEq(kd[d], scalar_days[d],
-                                       label + " day " +
-                                           std::to_string(d));
-                    expectReportEq(kernel_app.totals(),
-                                   scalar_app.totals(),
-                                   label + " totals");
-                    kernel_app.checkInvariants();
-                }
-            }
-        }
-    }
-    core::setBatchKernel(prior_kernel);
-    util::setBatchSimd(prior_simd);
-}
-
 // ---- sharded parallel replay --------------------------------------
 
 /**
  * The acceptance-bar run: SIEVE/ARC/TinyLFU end-to-end through
- * runShardedParallel at batch=64 with the batch kernel on, against
- * the serial batch=1 golden — ghost state is per-shard and must not
- * leak across the parallel hand-off.
+ * runShardedParallel at batch=64, against the serial batch=1 golden —
+ * ghost state is per-shard and must not leak across the parallel
+ * hand-off.
  */
 TEST(PolicyFabric, ShardedParallelBatch64MatchesSerialBatch1)
 {
-    const bool prior_kernel = core::batchKernelEnabled();
-    core::setBatchKernel(true);
-
     for (const EvictionKind kind : kFabricKinds) {
         trace::SyntheticConfig scfg;
         scfg.seed = 0x9a0 + static_cast<uint64_t>(kind);
@@ -483,7 +406,6 @@ TEST(PolicyFabric, ShardedParallelBatch64MatchesSerialBatch1)
         expectReportEq(serial.totals(), parallel.totals(),
                        label + " totals");
     }
-    core::setBatchKernel(prior_kernel);
 }
 
 /**
@@ -495,9 +417,6 @@ TEST(PolicyFabric, ShardedParallelBatch64MatchesSerialBatch1)
  */
 TEST(PolicyFabric, AdaptiveSieveShardedParallelMatchesSerial)
 {
-    const bool prior_kernel = core::batchKernelEnabled();
-    core::setBatchKernel(true);
-
     trace::SyntheticConfig scfg;
     scfg.seed = 0xada;
     scfg.scale = 1.0 / 131072.0;
@@ -545,7 +464,6 @@ TEST(PolicyFabric, AdaptiveSieveShardedParallelMatchesSerial)
         << "no shard ever reported its tuned thresholds";
     expectReportEq(serial.totals(), parallel.totals(),
                    "adaptive totals");
-    core::setBatchKernel(prior_kernel);
 }
 
 } // namespace
