@@ -22,12 +22,14 @@
 #include "cache/ghost_cache.hpp"
 #include "cache/replacement.hpp"
 #include "core/appliance.hpp"
+#include "core/auto_tune.hpp"
 #include "core/imct.hpp"
 #include "core/mct.hpp"
 #include "core/sievestore_c.hpp"
 #include "trace/synthetic.hpp"
 #include "util/flat_index.hpp"
 #include "util/random.hpp"
+#include "util/sim_time.hpp"
 
 using namespace sievestore;
 
@@ -240,6 +242,67 @@ BENCHMARK(BM_GhostCacheLookup)
     ->ArgName("budget")
     ->Arg(1 << 12)
     ->Arg(1 << 18);
+
+/**
+ * The online adaptive sieve per block access, at bench/e2e's
+ * `adaptive` workload sizes (shadow IMCT 13 732 slots, ghost budget
+ * 2^15): one synthetic day at 1/4096 scale, expanded to block
+ * accesses and fed as hits, so only the shadow bank's observe is
+ * timed (the production sieve ignores hits). One iteration replays
+ * the whole day and closes it, with time advancing a day per
+ * iteration; a warm-up day fills the ghosts and MCTs first. Whole
+ * days and a fixed iteration count keep the bank's state, and so the
+ * per-access cost, the same from run to run.
+ */
+void
+BM_AdaptiveObserve(benchmark::State &state)
+{
+    trace::SyntheticConfig scfg;
+    scfg.scale = 1.0 / 4096.0;
+    auto gen = trace::SyntheticEnsembleGenerator::paper(
+        trace::EnsembleConfig::paperEnsemble(), scfg);
+    std::vector<trace::BlockAccess> day;
+    for (const trace::Request &r : gen.generateDay(3)) {
+        trace::BlockAccess a;
+        a.time = r.time % util::kUsPerDay;
+        a.completion = a.time;
+        a.server = r.server;
+        a.op = r.op;
+        for (uint32_t i = 0; i < r.length_blocks; ++i) {
+            a.block = trace::makeBlockId(r.volume, r.offset_blocks + i);
+            day.push_back(a);
+        }
+    }
+
+    core::AdaptiveSieveConfig cfg;
+    cfg.base.imct_slots = 1 << 16;
+    cfg.imct_slots = 13732;
+    cfg.ghost_budget = 1 << 15;
+    core::AdaptiveSievePolicy policy(cfg);
+    int lap = 0;
+    auto replayDay = [&] {
+        const util::TimeUs offset =
+            static_cast<util::TimeUs>(lap) * util::kUsPerDay;
+        for (trace::BlockAccess a : day) {
+            a.time += offset;
+            policy.onHit(a);
+        }
+        policy.onDayClose(lap++);
+    };
+    replayDay();
+    for (auto _ : state)
+        replayDay();
+    benchmark::DoNotOptimize(policy.switches());
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(day.size()));
+    state.counters["ns_per_access"] = benchmark::Counter(
+        static_cast<double>(day.size()),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+    state.counters["shadow_rows"] =
+        static_cast<double>(policy.shadowRows());
+}
+BENCHMARK(BM_AdaptiveObserve)->Unit(benchmark::kMillisecond)->Iterations(3);
 
 void
 BM_AccessLogAppendAndReduce(benchmark::State &state)

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 
+#include "util/alloc_guard.hpp"
 #include "util/check.hpp"
+#include "util/footprint.hpp"
+#include "util/hashing.hpp"
 #include "util/logging.hpp"
 #include "util/sim_time.hpp"
 
@@ -79,6 +82,19 @@ AutoTunedSievePolicy::metastateBytes() const
 
 // ---- online adaptive sieve ----------------------------------------
 
+namespace {
+
+constexpr uint8_t kAllCandidates =
+    (1u << AdaptiveSievePolicy::kCandidates) - 1;
+
+constexpr uint8_t
+bitOf(size_t i)
+{
+    return static_cast<uint8_t>(1u << i);
+}
+
+} // namespace
+
 AdaptiveSievePolicy::AdaptiveSievePolicy(AdaptiveSieveConfig config)
     : cfg_(config), main_(config.base)
 {
@@ -90,18 +106,24 @@ AdaptiveSievePolicy::AdaptiveSievePolicy(AdaptiveSieveConfig config)
                     "1 <= min <= max");
     if (cfg_.ghost_budget == 0)
         util::fatal("adaptive sieve ghost budget must be positive");
+    if (cfg_.ghost_budget >= util::IndexList::kNull)
+        util::fatal("adaptive sieve ghost budget must be below 2^32 - 1");
+    if (cfg_.imct_slots == 0)
+        util::fatal("adaptive sieve shadow IMCT needs at least one slot");
+    if (cfg_.base.imct_only || cfg_.base.mct_only ||
+        !cfg_.base.prune_on_subwindow)
+        util::fatal("adaptive sieve shadows run the two-tier sieve with "
+                    "subwindow pruning: imct_only, mct_only and "
+                    "prune_on_subwindow = false are not supported");
     t1_ = clampT1(cfg_.base.t1);
     t2_ = clampT2(cfg_.base.t2);
     main_.setThresholds(t1_, t2_);
 
-    // Five fixed slots: the incumbent plus its four one-step
-    // neighbors. Clamping can make a neighbor coincide with the
-    // incumbent; the duplicate is harmless because ties favor slot 0.
-    SieveStoreCConfig shadow_cfg = cfg_.base;
-    shadow_cfg.imct_slots = cfg_.imct_slots;
-    for (size_t i = 0; i < 5; ++i)
-        candidates_.push_back(std::make_unique<Candidate>(
-            shadow_cfg, cfg_.ghost_budget));
+    imct_.resize(cfg_.imct_slots);
+    // Reserved once: evict-before-insert keeps each ghost at or below
+    // its budget, so no list arena ever grows again.
+    for (auto &ghost : ghosts_)
+        ghost.reserve(cfg_.ghost_budget);
     recenter();
 }
 
@@ -122,21 +144,101 @@ AdaptiveSievePolicy::clampT2(int64_t t2) const
 void
 AdaptiveSievePolicy::recenter()
 {
+    // Five fixed slots: the incumbent plus its four one-step
+    // neighbors. Clamping can make a neighbor coincide with the
+    // incumbent; the duplicate is harmless because ties favor slot 0.
     const int64_t t1 = t1_, t2 = t2_;
     const int64_t s1 = cfg_.t1_step, s2 = cfg_.t2_step;
-    const std::pair<uint32_t, uint32_t> settings[5] = {
+    const std::pair<uint32_t, uint32_t> settings[kCandidates] = {
         {t1_, t2_},
         {clampT1(t1 - s1), t2_},
         {clampT1(t1 + s1), t2_},
         {t1_, clampT2(t2 - s2)},
         {t1_, clampT2(t2 + s2)},
     };
-    for (size_t i = 0; i < candidates_.size(); ++i) {
-        Candidate &c = *candidates_[i];
-        c.t1 = settings[i].first;
-        c.t2 = settings[i].second;
-        c.shadow.setThresholds(c.t1, c.t2);
-        c.captured = 0;
+    for (size_t i = 0; i < kCandidates; ++i) {
+        cand_[i].t1 = settings[i].first;
+        cand_[i].t2 = settings[i].second;
+        cand_[i].captured = 0;
+    }
+}
+
+uint32_t
+AdaptiveSievePolicy::addRow(trace::BlockId block)
+{
+    uint32_t r = free_row_;
+    if (r != kNoRow) {
+        free_row_ = static_cast<uint32_t>(row(r).block);
+    } else {
+        if (rows_used_ == pages_.size() * kPageRows) {
+            // A new page is the arena's one allocation; pages never
+            // move, so rows and pointers into them stay put.
+            SIEVE_CHECK(rows_used_ < kNoRow - kPageRows,
+                        "adaptive shadow bank exceeds 2^32 rows");
+            util::AllocGuardDisarm growth;
+            pages_.push_back(std::make_unique<Row[]>(kPageRows));
+        }
+        r = rows_used_++;
+    }
+    row(r).block = block;
+    if (!rows_by_block_.hasCapacityFor(1)) {
+        // Amortized index growth, exempted as in Mct::admit.
+        util::AllocGuardDisarm growth;
+        *rows_by_block_.findOrInsert(block).first = r;
+        return r;
+    }
+    SIEVE_ASSERT_NO_ALLOC;
+    *rows_by_block_.findOrInsert(block).first = r;
+    return r;
+}
+
+void
+AdaptiveSievePolicy::freeRow(uint32_t r)
+{
+    Row &w = row(r);
+    SIEVE_DCHECK(w.ghost == 0 && w.mct == 0);
+    const bool erased = rows_by_block_.erase(w.block);
+    SIEVE_CHECK(erased, "shadow row %u's block %llx is not indexed", r,
+                static_cast<unsigned long long>(w.block));
+    w.block = free_row_;
+    free_row_ = r;
+}
+
+void
+AdaptiveSievePolicy::ghostInsert(size_t i, uint32_t r)
+{
+    // The GhostCache::insert contract on a fused row: evict the
+    // oldest block first at budget, then push the new one to the
+    // front. The victim is never `r` — r is not in this ghost.
+    util::IndexList &ghost = ghosts_[i];
+    if (ghost.size() >= cfg_.ghost_budget) {
+        const auto victim = static_cast<uint32_t>(ghost.value(ghost.tail()));
+        ghost.erase(ghost.tail());
+        Row &v = row(victim);
+        v.ghost &= static_cast<uint8_t>(~bitOf(i));
+        if (v.ghost == 0 && v.mct == 0)
+            freeRow(victim);
+    }
+    Row &w = row(r);
+    w.ghost |= bitOf(i);
+    w.node[i] = ghost.pushFront(r);
+}
+
+void
+AdaptiveSievePolicy::expire(uint8_t candidates, uint32_t keep)
+{
+    SIEVE_ASSERT_NO_ALLOC;
+    const WindowSpec &spec = cfg_.base.window;
+    for (uint32_t r = 0; r < rows_used_; ++r) {
+        Row &w = row(r);
+        if ((w.mct & candidates) == 0)
+            continue; // free rows hold no bits
+        for (size_t i = 0; i < kCandidates; ++i)
+            if ((w.mct & candidates & bitOf(i)) != 0 &&
+                w.count[i].stale(cand_[i].prune_sub, spec))
+                w.mct &= static_cast<uint8_t>(~bitOf(i));
+        if (w.ghost == 0 && w.mct == 0 && r != keep)
+            freeRow(r);
     }
 }
 
@@ -146,17 +248,76 @@ AdaptiveSievePolicy::observe(const trace::BlockAccess &access)
     // Each candidate runs a mini cache simulation: its ghost is the
     // LRU residency set of blocks its shadow sieve would have
     // allocated. A ghost hit is an access that setting would have
-    // captured (and refreshes recency); a ghost miss consults the
-    // shadow sieve, which admits or rejects exactly like the
-    // production algorithm at the candidate's thresholds.
-    for (auto &cp : candidates_) {
-        Candidate &c = *cp;
-        if (c.ghost.contains(access.block)) {
+    // captured (and refreshes recency); a ghost miss runs
+    // SieveStoreCPolicy::onMiss at the candidate's thresholds against
+    // the candidate's slice of the bank.
+    SIEVE_ASSERT_NO_ALLOC;
+    const WindowSpec &spec = cfg_.base.window;
+    const uint64_t sub = spec.subwindowOf(access.time);
+    const uint32_t *found = rows_by_block_.find(access.block);
+    uint32_t r = found != nullptr ? *found : kNoRow;
+    // Pages never move, and r is freed only at the end, so the row
+    // pointer stays valid through the loop.
+    Row *w = found != nullptr ? &row(r) : nullptr;
+    ImctSlot *slot = nullptr;
+    for (size_t i = 0; i < kCandidates; ++i) {
+        Candidate &c = cand_[i];
+        const uint8_t bit = bitOf(i);
+        if (w != nullptr && (w->ghost & bit) != 0) {
             ++c.captured;
-            c.ghost.insert(access.block); // refresh
-        } else if (c.shadow.onMiss(access) == AllocDecision::Allocate) {
-            c.ghost.insert(access.block);
+            ghosts_[i].moveToFront(w->node[i]);
+            continue;
         }
+        // The shadow's subwindow-boundary prune. Lazy expiry below
+        // treats entries stale as of prune_sub as gone, which is what
+        // the prune left behind while the subwindow only advances; a
+        // backward step must first drop what the newer prune dropped.
+        if (sub != c.prune_sub) {
+            if (sub < c.prune_sub)
+                expire(bit, r);
+            c.prune_sub = sub;
+        }
+        if (w != nullptr && (w->mct & bit) != 0) {
+            if (!w->count[i].stale(sub, spec)) {
+                if (w->count[i].record(sub, spec) >= c.t2) {
+                    w->mct &= static_cast<uint8_t>(~bit);
+                    ++c.allocated;
+                    ghostInsert(i, r);
+                }
+                continue;
+            }
+            w->mct &= static_cast<uint8_t>(~bit);
+        }
+        if (slot == nullptr) // Imct::slotOf, with the base seed
+            slot = &imct_[util::reduceRange(
+                util::seededHash(access.block, cfg_.base.seed),
+                imct_.size())];
+        // t2 >= min_t2 >= 1, so a qualified block always waits in
+        // the MCT for its additional misses.
+        if ((*slot)[i].record(sub, spec) >= c.t1) {
+            ++c.qualified;
+            if (w == nullptr) {
+                r = addRow(access.block);
+                w = &row(r);
+            }
+            w->mct |= bit;
+            w->count[i] = WindowedCounter{};
+            w->count[i].touch(sub, spec);
+        }
+    }
+    if (w != nullptr && w->ghost == 0 && w->mct == 0)
+        freeRow(r);
+    // One sweep per subwindow, once every candidate's prune point has
+    // reached it, reclaims what all five prunes would have dropped. A
+    // candidate whose first access of the subwindow was a ghost hit
+    // has not pruned yet; sweeping before it does would leave its
+    // expired entries, and their rows, for another subwindow.
+    uint64_t pruned = cand_[0].prune_sub;
+    for (const Candidate &c : cand_)
+        pruned = std::min(pruned, c.prune_sub);
+    if (pruned > swept_sub_) {
+        swept_sub_ = pruned;
+        expire(kAllCandidates, kNoRow);
     }
 }
 
@@ -190,10 +351,10 @@ AdaptiveSievePolicy::onDayClose(int day)
     // Winner takes the thresholds. Strict > keeps ties (including a
     // fully idle day, all counters zero) with the incumbent.
     size_t best = 0;
-    for (size_t i = 1; i < candidates_.size(); ++i)
-        if (candidates_[i]->captured > candidates_[best]->captured)
+    for (size_t i = 1; i < kCandidates; ++i)
+        if (cand_[i].captured > cand_[best].captured)
             best = i;
-    const Candidate &win = *candidates_[best];
+    const Candidate &win = cand_[best];
     if (win.t1 != t1_ || win.t2 != t2_) {
         t1_ = win.t1;
         t2_ = win.t2;
@@ -210,33 +371,42 @@ AdaptiveSievePolicy::tuning() const
     return SieveTuning{t1_, t2_, switches_};
 }
 
+AdaptiveSievePolicy::BankBytes
+AdaptiveSievePolicy::bankBytes() const
+{
+    BankBytes b;
+    b.index = rows_by_block_.memoryBytes();
+    b.pages = static_cast<uint64_t>(pages_.size()) * kPageRows *
+                  sizeof(Row) +
+              util::vectorFootprintBytes(pages_);
+    b.imct = util::vectorFootprintBytes(imct_);
+    for (const auto &ghost : ghosts_)
+        b.ghosts += ghost.memoryBytes();
+    return b;
+}
+
 uint64_t
 AdaptiveSievePolicy::metastateBytes() const
 {
     // The adaptive sieve is honest about its full cost: production
-    // tables plus every shadow sieve and shadow ghost.
-    uint64_t bytes = main_.metastateBytes();
-    for (const auto &c : candidates_)
-        bytes += c->shadow.metastateBytes() + c->ghost.memoryBytes();
-    return bytes;
+    // tables plus the whole shadow bank.
+    return main_.metastateBytes() + bankBytes().total();
 }
 
 uint64_t
 AdaptiveSievePolicy::candidateCaptured(size_t i) const
 {
-    SIEVE_CHECK(i < candidates_.size(),
-                "candidate index %zu out of %zu", i,
-                candidates_.size());
-    return candidates_[i]->captured;
+    SIEVE_CHECK(i < kCandidates, "candidate index %zu out of %zu", i,
+                kCandidates);
+    return cand_[i].captured;
 }
 
 std::pair<uint32_t, uint32_t>
 AdaptiveSievePolicy::candidateSetting(size_t i) const
 {
-    SIEVE_CHECK(i < candidates_.size(),
-                "candidate index %zu out of %zu", i,
-                candidates_.size());
-    return {candidates_[i]->t1, candidates_[i]->t2};
+    SIEVE_CHECK(i < kCandidates, "candidate index %zu out of %zu", i,
+                kCandidates);
+    return {cand_[i].t1, cand_[i].t2};
 }
 
 void
@@ -248,19 +418,105 @@ AdaptiveSievePolicy::checkInvariants() const
     SIEVE_CHECK(t2_ >= cfg_.min_t2 && t2_ <= cfg_.max_t2,
                 "adaptive t2=%u escaped [%u, %u]", t2_, cfg_.min_t2,
                 cfg_.max_t2);
-    SIEVE_CHECK(!candidates_.empty() &&
-                    candidates_[0]->t1 == t1_ &&
-                    candidates_[0]->t2 == t2_,
+    SIEVE_CHECK(cand_[0].t1 == t1_ && cand_[0].t2 == t2_,
                 "candidate slot 0 must mirror the incumbent setting");
     main_.checkInvariants();
-    for (const auto &c : candidates_) {
-        SIEVE_CHECK(c->t1 >= cfg_.min_t1 && c->t1 <= cfg_.max_t1 &&
-                        c->t2 >= cfg_.min_t2 && c->t2 <= cfg_.max_t2,
-                    "shadow setting (%u, %u) escaped the bounds",
-                    c->t1, c->t2);
-        c->shadow.checkInvariants();
-        c->ghost.checkInvariants();
+    const WindowSpec &spec = cfg_.base.window;
+
+    // Rows against the index: every live row is indexed under its
+    // block and never has one candidate in both its ghost and its
+    // MCT; every other row is on the free list, and the index holds
+    // nothing else.
+    rows_by_block_.checkInvariants();
+    SIEVE_CHECK(pages_.size() * kPageRows >= rows_used_,
+                "%u rows handed out from %zu pages", rows_used_,
+                pages_.size());
+    size_t live = 0;
+    size_t in_ghost[kCandidates] = {};
+    size_t in_mct[kCandidates] = {};
+    for (uint32_t r = 0; r < rows_used_; ++r) {
+        const Row &w = row(r);
+        if ((w.ghost | w.mct) == 0)
+            continue;
+        ++live;
+        const uint32_t *indexed = rows_by_block_.find(w.block);
+        SIEVE_CHECK(indexed != nullptr && *indexed == r,
+                    "shadow row %u's block %llx is not indexed to it",
+                    r, static_cast<unsigned long long>(w.block));
+        SIEVE_CHECK(((w.ghost | w.mct) & ~kAllCandidates) == 0,
+                    "shadow row %u holds bits ghost=%#x mct=%#x", r,
+                    w.ghost, w.mct);
+        SIEVE_CHECK((w.ghost & w.mct) == 0,
+                    "shadow row %u is in a candidate's ghost and MCT "
+                    "at once (ghost=%#x mct=%#x)",
+                    r, w.ghost, w.mct);
+        for (size_t i = 0; i < kCandidates; ++i) {
+            if ((w.ghost & bitOf(i)) != 0)
+                ++in_ghost[i];
+            if ((w.mct & bitOf(i)) != 0) {
+                ++in_mct[i];
+                w.count[i].checkInvariants(spec);
+            }
+        }
     }
+    SIEVE_CHECK(live == rows_by_block_.size(),
+                "%zu live shadow rows, %zu indexed", live,
+                rows_by_block_.size());
+    size_t free_rows = 0;
+    for (uint32_t r = free_row_; r != kNoRow;
+         r = static_cast<uint32_t>(row(r).block)) {
+        SIEVE_CHECK(r < rows_used_ && (row(r).ghost | row(r).mct) == 0,
+                    "shadow free list reaches row %u", r);
+        SIEVE_CHECK(++free_rows <= rows_used_ - live,
+                    "shadow free list longer than the free rows");
+    }
+    SIEVE_CHECK(free_rows + live == rows_used_,
+                "%zu free + %zu live shadow rows, %u handed out",
+                free_rows, live, rows_used_);
+
+    for (size_t i = 0; i < kCandidates; ++i) {
+        const Candidate &c = cand_[i];
+        SIEVE_CHECK(c.t1 >= cfg_.min_t1 && c.t1 <= cfg_.max_t1 &&
+                        c.t2 >= cfg_.min_t2 && c.t2 <= cfg_.max_t2,
+                    "shadow setting (%u, %u) escaped the bounds", c.t1,
+                    c.t2);
+        // Ghost list against the rows.
+        const util::IndexList &ghost = ghosts_[i];
+        ghost.checkInvariants();
+        SIEVE_CHECK(ghost.size() <= cfg_.ghost_budget,
+                    "candidate %zu's ghost tracks %zu blocks, budget "
+                    "%llu",
+                    i, ghost.size(),
+                    static_cast<unsigned long long>(cfg_.ghost_budget));
+        SIEVE_CHECK(ghost.size() == in_ghost[i],
+                    "candidate %zu's ghost list holds %zu blocks, its "
+                    "rows %zu",
+                    i, ghost.size(), in_ghost[i]);
+        for (uint32_t n = ghost.head(); n != util::IndexList::kNull;
+             n = ghost.next(n)) {
+            const uint64_t r = ghost.value(n);
+            SIEVE_CHECK(r < rows_used_, "candidate %zu's ghost links row "
+                        "%llu of %u", i,
+                        static_cast<unsigned long long>(r), rows_used_);
+            const Row &w = row(static_cast<uint32_t>(r));
+            SIEVE_CHECK((w.ghost & bitOf(i)) != 0 && w.node[i] == n,
+                        "candidate %zu's ghost node %u and row %llu "
+                        "disagree",
+                        i, n, static_cast<unsigned long long>(r));
+        }
+        // Every MCT entry and every allocation consumed one IMCT
+        // qualification (the SieveStoreCPolicy audit, per candidate).
+        SIEVE_CHECK(in_mct[i] + c.allocated <= c.qualified,
+                    "candidate %zu holds %zu MCT entries + %llu "
+                    "allocations but only %llu IMCT qualifications",
+                    i, in_mct[i],
+                    static_cast<unsigned long long>(c.allocated),
+                    static_cast<unsigned long long>(c.qualified));
+    }
+    SIEVE_CHECK(!imct_.empty());
+    for (const ImctSlot &slot : imct_)
+        for (const WindowedCounter &counter : slot)
+            counter.checkInvariants(spec);
 }
 
 } // namespace core

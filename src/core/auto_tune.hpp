@@ -16,13 +16,14 @@
 #ifndef SIEVESTORE_CORE_AUTO_TUNE_HPP
 #define SIEVESTORE_CORE_AUTO_TUNE_HPP
 
+#include <array>
 #include <memory>
 #include <utility>
 #include <vector>
 
-#include "cache/ghost_cache.hpp"
 #include "core/sievestore_c.hpp"
 #include "util/check.hpp"
+#include "util/flat_index.hpp"
 
 namespace sievestore {
 namespace core {
@@ -99,12 +100,16 @@ class AutoTunedSievePolicy : public AllocationPolicy
 struct AdaptiveSieveConfig
 {
     /** Starting setting of the production sieve; also the center of
-     * the first shadow neighborhood. */
+     * the first shadow neighborhood. Shadows inherit its window and
+     * seed; it must be the two-tier sieve with subwindow pruning
+     * (imct_only, mct_only and prune_on_subwindow = false are
+     * rejected). */
     SieveStoreCConfig base;
-    /** Per-candidate simulated residency budget in blocks (the shadow
-     * ghost cache's capacity). */
+    /** Per-candidate simulated residency budget in blocks (the
+     * capacity of each candidate's shadow ghost). */
     uint64_t ghost_budget = 1 << 15;
-    /** Shadow sieves' IMCT size (metastate cost per candidate). */
+    /** Shadow IMCT slot count; each slot holds one counter per
+     * candidate. */
     size_t imct_slots = 1 << 14;
     /** Neighborhood radius: candidate settings are the current
      * (t1, t2) plus (t1 +- t1_step, t2) and (t1, t2 +- t2_step),
@@ -124,8 +129,8 @@ struct AdaptiveSieveConfig
  * Five candidate settings — the current one plus its four
  * one-step neighbors — each run a small shadow sieve over the full
  * access stream. When a candidate's shadow admits a block, the block
- * enters the candidate's ghost cache (a fixed-budget LRU residency
- * set standing in for the cache it would have filled); every access
+ * enters the candidate's ghost (a fixed-budget LRU residency set
+ * standing in for the cache it would have filled); every access
  * landing in a candidate's ghost counts as an access that setting
  * would have captured. At each day close (Appliance::finishDay ->
  * onDayClose) the candidate with the most captured accesses wins:
@@ -134,6 +139,20 @@ struct AdaptiveSieveConfig
  * per-epoch counters reset. Ties favor the incumbent, so a flat
  * neighborhood never flaps.
  *
+ * The five shadows live in one shadow bank rather than five
+ * (SieveStoreCPolicy, GhostCache) pairs: a single FlatIndex maps a
+ * block to a row holding every candidate's state for it (ghost bit
+ * and recency node, MCT bit and windowed counter), rows sit in a
+ * paged arena that never moves them, and one fused shadow IMCT keeps
+ * five counters per slot. An access costs one index probe instead of
+ * five ghost probes plus up to five MCT probes. MCT entries expire
+ * lazily — a candidate treats an entry stale as of its last prune
+ * subwindow as absent — and one row sweep per subwindow reclaims
+ * them, which reproduces each candidate's eager Mct::prune exactly
+ * (DESIGN.md section 15 has the argument). Each candidate's
+ * per-epoch capture count is therefore the one five independent
+ * shadows would produce.
+ *
  * Decisions still come only from the production sieve; shadows and
  * ghosts observe the same model-side stream and steer nothing within
  * a day, so replay stays deterministic and shard-mergeable.
@@ -141,6 +160,10 @@ struct AdaptiveSieveConfig
 class AdaptiveSievePolicy : public AllocationPolicy
 {
   public:
+    /** Candidate settings: the incumbent (index 0) plus four
+     * one-step neighbors. */
+    static constexpr size_t kCandidates = 5;
+
     explicit AdaptiveSievePolicy(AdaptiveSieveConfig config = {});
 
     AllocDecision onMiss(const trace::BlockAccess &access) override;
@@ -152,6 +175,13 @@ class AdaptiveSievePolicy : public AllocationPolicy
     uint64_t metastateBytes() const override;
     void onDayClose(int day) override;
     std::optional<SieveTuning> tuning() const override;
+    /**
+     * Audit the controller and the shadow bank: thresholds in bounds;
+     * rows, index entries and ghost lists agree; each ghost within
+     * budget; per candidate, MCT bits plus allocations never exceed
+     * IMCT qualifications; every windowed counter consistent. O(rows
+     * + IMCT slots); aborts on violation.
+     */
     void checkInvariants() const override;
 
     /** Production-sieve thresholds currently in force. */
@@ -166,7 +196,7 @@ class AdaptiveSievePolicy : public AllocationPolicy
         return history_;
     }
     /** Number of candidate settings (the incumbent is index 0). */
-    size_t candidateCount() const { return candidates_.size(); }
+    size_t candidateCount() const { return kCandidates; }
     /** Accesses candidate `i`'s ghost captured this epoch. */
     uint64_t candidateCaptured(size_t i) const;
     /** Candidate `i`'s thresholds. */
@@ -174,25 +204,69 @@ class AdaptiveSievePolicy : public AllocationPolicy
     /** The wrapped production sieve. */
     const SieveStoreCPolicy &production() const { return main_; }
 
+    /** Shadow-bank footprint by part (util/footprint.hpp
+     * convention); metastateBytes() is the production sieve's plus
+     * their sum. */
+    struct BankBytes
+    {
+        /** Block -> row FlatIndex. */
+        uint64_t index = 0;
+        /** Row pages and the page table; the free list threads
+         * through free rows, so it costs nothing beyond them. */
+        uint64_t pages = 0;
+        /** Fused shadow IMCT. */
+        uint64_t imct = 0;
+        /** The candidates' ghost recency lists. */
+        uint64_t ghosts = 0;
+
+        uint64_t total() const { return index + pages + imct + ghosts; }
+    };
+    BankBytes bankBytes() const;
+    /** Rows in use (blocks some candidate tracks). */
+    size_t shadowRows() const { return rows_by_block_.size(); }
+    /** Rows per arena page. */
+    static constexpr size_t kPageRows = size_t{1} << 12;
+
   private:
-    /** One shadow setting under evaluation. */
+    /** Every candidate's shadow state for one block. A row is live
+     * while it holds a bit and free (on the free list) once it holds
+     * none. */
+    struct Row
+    {
+        /** The block while the row is live; the next free row while
+         * it is on the free list. */
+        uint64_t block = 0;
+        /** Candidate i's ghost recency node (valid under ghost bit i). */
+        uint32_t node[kCandidates] = {};
+        /** Bit i: the block is in candidate i's ghost. */
+        uint8_t ghost = 0;
+        /** Bit i: candidate i's MCT tracks the block. A candidate
+         * never holds both bits: allocation leaves the MCT. */
+        uint8_t mct = 0;
+        /** Candidate i's MCT counter (valid under MCT bit i). */
+        WindowedCounter count[kCandidates];
+    };
+
+    /** One shadow setting's thresholds and tallies. */
     struct Candidate
     {
-        uint32_t t1;
-        uint32_t t2;
-        SieveStoreCPolicy shadow;
-        // sieve-lint: charged(summed by AdaptiveSievePolicy::metastateBytes)
-        cache::GhostCache ghost;
+        uint32_t t1 = 0;
+        uint32_t t2 = 0;
         /** Accesses the ghost captured this epoch. */
         uint64_t captured = 0;
-
-        Candidate(const SieveStoreCConfig &shadow_cfg,
-                  uint64_t ghost_budget)
-            : t1(shadow_cfg.t1), t2(shadow_cfg.t2), shadow(shadow_cfg),
-              ghost(ghost_budget)
-        {
-        }
+        /** Misses admitted past the shadow IMCT. */
+        uint64_t qualified = 0;
+        /** Shadow allocations (ghost inserts). */
+        uint64_t allocated = 0;
+        /** Subwindow of the candidate's last shadow miss: the point
+         * its eager MCT would last have been pruned at. */
+        uint64_t prune_sub = 0;
     };
+
+    /** Fused shadow IMCT slot: one counter per candidate. */
+    using ImctSlot = std::array<WindowedCounter, kCandidates>;
+
+    static constexpr uint32_t kNoRow = UINT32_MAX;
 
     /** Feed one access to every candidate's mini-simulation. */
     void observe(const trace::BlockAccess &access);
@@ -203,15 +277,51 @@ class AdaptiveSievePolicy : public AllocationPolicy
     uint32_t clampT1(int64_t t1) const;
     uint32_t clampT2(int64_t t2) const;
 
+    Row &
+    row(uint32_t r)
+    {
+        return pages_[r / kPageRows][r % kPageRows];
+    }
+    const Row &
+    row(uint32_t r) const
+    {
+        return pages_[r / kPageRows][r % kPageRows];
+    }
+    /** Take a row for `block` (free list first) and index it. */
+    uint32_t addRow(trace::BlockId block);
+    /** Unindex a row and push it on the free list. */
+    void freeRow(uint32_t r);
+    /** Candidate i's shadow allocation: most recent in its ghost,
+     * evicting the oldest block first at budget. */
+    void ghostInsert(size_t i, uint32_t r);
+    /** Clear the MCT bits in `candidates` (a candidate bit mask) that
+     * are stale as of each one's prune subwindow, and free the rows
+     * left empty except `keep`. */
+    void expire(uint8_t candidates, uint32_t keep);
+
     AdaptiveSieveConfig cfg_;
     /** Production sieve: the only decision maker. */
     SieveStoreCPolicy main_;
-    /** Index 0 is always the incumbent setting. */
-    std::vector<std::unique_ptr<Candidate>> candidates_;
+    std::array<Candidate, kCandidates> cand_;
     uint32_t t1_;
     uint32_t t2_;
     uint64_t switches_ = 0;
     std::vector<std::pair<uint32_t, uint32_t>> history_;
+
+    /** Block -> row. */
+    util::FlatIndex<uint32_t> rows_by_block_;
+    /** Row arena: fixed-size pages, so rows never move. */
+    std::vector<std::unique_ptr<Row[]>> pages_;
+    /** Rows handed out so far (live or free). */
+    uint32_t rows_used_ = 0;
+    uint32_t free_row_ = kNoRow;
+    std::vector<ImctSlot> imct_;
+    /** Ghost recency per candidate (front = most recent); node values
+     * are row indices. */
+    std::array<util::IndexList, kCandidates> ghosts_;
+    /** Newest subwindow every candidate had pruned at when the bank
+     * last swept. */
+    uint64_t swept_sub_ = 0;
 };
 
 } // namespace core

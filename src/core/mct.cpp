@@ -64,12 +64,20 @@ Mct::admit(trace::BlockId block, util::TimeUs t)
 uint32_t
 Mct::recordMiss(trace::BlockId block, util::TimeUs t)
 {
-    // One probe per miss — the MCT's whole cost argument. panic()
-    // disarms the guard itself if the precondition fails.
+    const uint32_t count = recordIfTracked(block, t);
+    if (count == 0)
+        util::panic("MCT: recordMiss for untracked block");
+    return count;
+}
+
+uint32_t
+Mct::recordIfTracked(trace::BlockId block, util::TimeUs t)
+{
+    // One probe per miss — the MCT's whole cost argument.
     SIEVE_ASSERT_NO_ALLOC;
     WindowedCounter *counter = entries.find(block);
     if (!counter)
-        util::panic("MCT: recordMiss for untracked block");
+        return 0;
     return counter->record(spec.subwindowOf(t), spec);
 }
 

@@ -61,6 +61,15 @@ class Mct
      */
     uint32_t recordMiss(trace::BlockId block, util::TimeUs t);
 
+    /**
+     * Record a miss if the block is tracked, in one probe (contains()
+     * followed by recordMiss() costs two). A recorded miss always
+     * counts, so 0 unambiguously means untracked.
+     * @return the block's windowed miss count including this miss, or
+     *         0 (and no change) if the block is untracked
+     */
+    uint32_t recordIfTracked(trace::BlockId block, util::TimeUs t);
+
     /** Windowed count for a tracked block (0 if untracked). */
     uint32_t count(trace::BlockId block, util::TimeUs t) const;
 

@@ -55,8 +55,8 @@ SieveStoreCPolicy::onMiss(const trace::BlockAccess &access)
     // Two-tier sieve. Blocks already in the MCT accrue their
     // "additional" misses there; everyone else must first push their
     // (possibly aliased) IMCT slot past t1.
-    if (mct_.contains(access.block)) {
-        const uint32_t c2 = mct_.recordMiss(access.block, t);
+    if (const uint32_t c2 = mct_.recordIfTracked(access.block, t);
+        c2 != 0) {
         if (c2 >= cfg.t2) {
             mct_.remove(access.block);
             ++allocated;

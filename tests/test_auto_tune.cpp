@@ -9,11 +9,8 @@
 
 #include <vector>
 
-#include "core/appliance.hpp"
 #include "core/auto_tune.hpp"
-#include "sim/driver.hpp"
-#include "sim/experiment.hpp"
-#include "trace/trace_reader.hpp"
+#include "util/flat_index.hpp"
 #include "util/logging.hpp"
 #include "util/random.hpp"
 #include "util/sim_time.hpp"
@@ -269,18 +266,61 @@ TEST(AdaptiveSieve, IdleEpochsKeepTheIncumbent)
 
 TEST(AdaptiveSieve, ChargesShadowStructures)
 {
-    // The adaptive sieve's metastate must include every shadow sieve
-    // and ghost, not just the production tables.
+    // The adaptive sieve's metastate is the production tables plus
+    // the whole shadow bank, part by part: the block index, the row
+    // pages, the fused IMCT (one counter per candidate per slot) and
+    // the candidates' ghost lists (reserved to budget up front).
     AdaptiveSieveConfig cfg = smallAdaptive(9, 4);
     const SieveStoreCPolicy production(cfg.base);
     AdaptiveSievePolicy policy(cfg);
     EXPECT_STREQ(policy.name(), "SieveStore-C/adaptive");
-    EXPECT_GT(policy.metastateBytes(), production.metastateBytes());
     const auto tun = policy.tuning();
     ASSERT_TRUE(tun.has_value());
     EXPECT_EQ(tun->t1, 9u);
     EXPECT_EQ(tun->t2, 4u);
     EXPECT_EQ(tun->switches, 0u);
+
+    constexpr size_t kCands = AdaptiveSievePolicy::kCandidates;
+    sievestore::util::IndexList one_ghost;
+    one_ghost.reserve(cfg.ghost_budget);
+    const uint64_t imct_bytes =
+        cfg.imct_slots * kCands * sizeof(WindowedCounter);
+    const uint64_t ghost_bytes = kCands * one_ghost.memoryBytes();
+
+    const auto empty = policy.bankBytes();
+    EXPECT_EQ(empty.index, 0u);
+    EXPECT_EQ(empty.pages, 0u);
+    EXPECT_EQ(empty.imct, imct_bytes);
+    EXPECT_EQ(empty.ghosts, ghost_bytes);
+    EXPECT_EQ(policy.metastateBytes(),
+              production.metastateBytes() + imct_bytes + ghost_bytes);
+
+    // Loose thresholds over many distinct blocks fill rows: the index
+    // is charged at its power-of-two slot count (a 4-byte row payload
+    // beside each 8-byte key, plus the dib byte), and the pages at
+    // whole pages of rows, each row holding at least the block, five
+    // ghost nodes and five windowed counters.
+    AdaptiveSievePolicy loose(smallAdaptive(1, 1));
+    for (BlockId b = 0; b < 3 * AdaptiveSievePolicy::kPageRows; ++b)
+        loose.onMiss(missAt(b, makeTime(0, 1)));
+    const size_t rows = loose.shadowRows();
+    ASSERT_GT(rows, AdaptiveSievePolicy::kPageRows);
+    const auto full = loose.bankBytes();
+    const uint64_t slots = full.index / (16 + 1);
+    EXPECT_EQ(full.index % (16 + 1), 0u);
+    EXPECT_EQ(slots & (slots - 1), 0u) << "slot count is a power of two";
+    EXPECT_GE(slots * 7, rows * 8) << "load factor at most 7/8";
+    const uint64_t pages = (rows + AdaptiveSievePolicy::kPageRows - 1) /
+                           AdaptiveSievePolicy::kPageRows;
+    EXPECT_GE(full.pages,
+              pages * AdaptiveSievePolicy::kPageRows *
+                  (8 + kCands * (4 + sizeof(WindowedCounter))));
+    EXPECT_EQ(full.imct, imct_bytes);
+    EXPECT_EQ(full.ghosts, ghost_bytes);
+    EXPECT_EQ(loose.metastateBytes(),
+              loose.production().metastateBytes() + full.index +
+                  full.pages + full.imct + full.ghosts);
+    loose.checkInvariants();
 }
 
 TEST(AdaptiveSieve, RejectsBadConfig)
@@ -292,95 +332,21 @@ TEST(AdaptiveSieve, RejectsBadConfig)
     AdaptiveSieveConfig zero = smallAdaptive(4, 2);
     zero.ghost_budget = 0;
     EXPECT_THROW(AdaptiveSievePolicy{zero}, FatalError);
-}
-
-/** A multi-day trace with per-day popularity drift. */
-std::vector<sievestore::trace::Request>
-driftingTrace(uint64_t seed, size_t n)
-{
-    namespace trace = sievestore::trace;
-    sievestore::util::Rng rng(seed);
-    std::vector<trace::Request> reqs;
-    uint64_t t = 0;
-    for (size_t i = 0; i < n; ++i) {
-        trace::Request r;
-        t += rng.nextBelow(90 * 1000000);
-        r.time = t;
-        r.volume = static_cast<trace::VolumeId>(rng.nextBelow(4));
-        r.server = static_cast<trace::ServerId>(rng.nextBelow(3));
-        r.op = rng.nextBool(0.7) ? trace::Op::Read : trace::Op::Write;
-        // Hot set drifts with the day so the tuner has work to do.
-        const uint64_t day = t / sievestore::util::kUsPerDay;
-        r.offset_blocks = rng.nextBool(0.6)
-                              ? (day * 97 + rng.nextBelow(48)) * 8
-                              : rng.nextBelow(1 << 18);
-        r.length_blocks = 1 + static_cast<uint32_t>(rng.nextBelow(16));
-        r.latency_us = static_cast<uint32_t>(rng.nextBelow(4000000));
-        reqs.push_back(r);
-    }
-    return reqs;
-}
-
-TEST(AdaptiveSieve, ApplianceFillsTuningColumnsIdenticallyAcrossEngines)
-{
-    namespace sim = sievestore::sim;
-    namespace trace = sievestore::trace;
-    const auto reqs = driftingTrace(2027, 5000);
-
-    sim::PolicyConfig policy;
-    policy.kind = sim::PolicyKind::Adaptive;
-    policy.sieve_c.imct_slots = 1 << 12;
-    policy.sieve_c.t1 = 4;
-    policy.sieve_c.t2 = 2;
-    policy.adaptive.imct_slots = 1 << 10;
-    policy.adaptive.ghost_budget = 512;
-
-    ApplianceConfig flat_cfg;
-    flat_cfg.cache_blocks = 512;
-    flat_cfg.track_occupancy = false;
-    auto flat_app = sim::makeAppliance(policy, flat_cfg);
-
-    // Reference engine: the same AdaptiveSievePolicy behind the
-    // virtual AllocationPolicy interface, run in FlatSieve's custom
-    // mode through the allocation factory.
-    AdaptiveSieveConfig ref_adaptive = policy.adaptive;
-    ref_adaptive.base = policy.sieve_c;
-    ApplianceConfig ref_cfg = flat_cfg;
-    ref_cfg.allocation = [ref_adaptive] {
-        return std::make_unique<AdaptiveSievePolicy>(ref_adaptive);
-    };
-    auto ref_app = sim::makeAppliance(policy, ref_cfg);
-
-    trace::VectorTrace flat_trace(reqs);
-    sim::runTrace(flat_trace, *flat_app);
-    trace::VectorTrace ref_trace(reqs);
-    sim::runTrace(ref_trace, *ref_app);
-
-    EXPECT_STREQ(flat_app->policyName(), "SieveStore-C/adaptive");
-    const auto &fd = flat_app->daily();
-    const auto &rd = ref_app->daily();
-    ASSERT_EQ(fd.size(), rd.size());
-    ASSERT_GE(fd.size(), 3u) << "trace must span several days";
-    bool any_tuning = false;
-    uint64_t switch_sum = 0;
-    for (size_t d = 0; d < fd.size(); ++d) {
-        EXPECT_EQ(fd[d].hits, rd[d].hits) << "day " << d;
-        EXPECT_EQ(fd[d].allocation_write_blocks,
-                  rd[d].allocation_write_blocks)
-            << "day " << d;
-        EXPECT_EQ(fd[d].tune_t1, rd[d].tune_t1) << "day " << d;
-        EXPECT_EQ(fd[d].tune_t2, rd[d].tune_t2) << "day " << d;
-        EXPECT_EQ(fd[d].tune_switches, rd[d].tune_switches)
-            << "day " << d;
-        EXPECT_LE(fd[d].tune_switches, 1u)
-            << "at most one switch per day close";
-        any_tuning = any_tuning || fd[d].tune_t1 != 0;
-        switch_sum += fd[d].tune_switches;
-    }
-    EXPECT_TRUE(any_tuning) << "tuning columns never populated";
-    EXPECT_EQ(flat_app->totals().tune_switches, switch_sum);
-    flat_app->checkInvariants();
-    ref_app->checkInvariants();
+    AdaptiveSieveConfig no_slots = smallAdaptive(4, 2);
+    no_slots.imct_slots = 0;
+    EXPECT_THROW(AdaptiveSievePolicy{no_slots}, FatalError);
+    // The shadow bank runs only the two-tier sieve with subwindow
+    // pruning; the production sieve's tier ablations are rejected
+    // rather than silently run two-tier in the shadows.
+    AdaptiveSieveConfig imct_only = smallAdaptive(4, 2);
+    imct_only.base.imct_only = true;
+    EXPECT_THROW(AdaptiveSievePolicy{imct_only}, FatalError);
+    AdaptiveSieveConfig mct_only = smallAdaptive(4, 2);
+    mct_only.base.mct_only = true;
+    EXPECT_THROW(AdaptiveSievePolicy{mct_only}, FatalError);
+    AdaptiveSieveConfig no_prune = smallAdaptive(4, 2);
+    no_prune.base.prune_on_subwindow = false;
+    EXPECT_THROW(AdaptiveSievePolicy{no_prune}, FatalError);
 }
 
 } // namespace

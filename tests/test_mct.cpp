@@ -68,6 +68,28 @@ TEST(Mct, RecordOnUntrackedPanics)
     EXPECT_DEATH(mct.recordMiss(9, 0), "untracked");
 }
 
+TEST(Mct, RecordIfTrackedIsOneProbeRecordMiss)
+{
+    // Untracked: 0 and no insertion. Tracked: exactly recordMiss's
+    // counts, including across a window expiry and a backward step.
+    Mct mct(kSpec);
+    Mct twin(kSpec);
+    EXPECT_EQ(mct.recordIfTracked(5, 0), 0u);
+    EXPECT_FALSE(mct.contains(5));
+    EXPECT_EQ(mct.size(), 0u);
+    mct.admit(5, 0);
+    twin.admit(5, 0);
+    for (const uint64_t s : {0u, 0u, 1u, 3u, 2u, 9u, 9u, 10u}) {
+        const uint32_t got = mct.recordIfTracked(5, sub(s));
+        EXPECT_GE(got, 1u) << "a recorded miss always counts";
+        EXPECT_EQ(got, twin.recordMiss(5, sub(s))) << "subwindow " << s;
+    }
+    mct.remove(5);
+    EXPECT_EQ(mct.recordIfTracked(5, sub(10)), 0u);
+    EXPECT_FALSE(mct.contains(5));
+    mct.checkInvariants();
+}
+
 TEST(Mct, WindowExpiry)
 {
     Mct mct(kSpec);
