@@ -119,8 +119,9 @@ BenchOptions::scaledCacheBlocks(uint64_t full_bytes) const
 size_t
 BenchOptions::scaledImctSlots() const
 {
-    // ~450M slots at full scale (order of the paper's 8 GB metastate
-    // budget); clamped so tiny scales still have a meaningful table.
+    // ~450M slots at full scale: 3.6 GB of 8-byte counters, inside
+    // the paper's ~8 GB IMCT + MCT budget; clamped so tiny scales
+    // still have a meaningful table.
     const auto slots = static_cast<size_t>(4.5e8 / inv_scale);
     return std::max<size_t>(4096, slots);
 }

@@ -58,7 +58,8 @@ struct BenchOptions
     /** Scaled cache capacity in 512-byte blocks. */
     uint64_t scaledCacheBlocks(uint64_t full_bytes) const;
 
-    /** IMCT sized for this scale (matches the paper's ~8 GB state). */
+    /** IMCT sized for this scale: 450 M 8-byte slots (3.6 GB) at full
+     * scale, inside the paper's ~8 GB metastate budget. */
     size_t scaledImctSlots() const;
 };
 

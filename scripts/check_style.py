@@ -9,9 +9,17 @@ Checks:
      #endif carries a `// SIEVESTORE_<PATH>_HPP` comment.
   2. Include hygiene: project headers are included with quotes
      ("util/check.hpp"), system/library headers with angle brackets.
+     A project header is one under a project include root, or, as in
+     C++'s own lookup for quoted names, a file in the including
+     file's directory ("span_trace.hpp" beside bench/e2e/bench_e2e.cpp).
   3. Banned constructs: raw assert() is forbidden in src/, bench/,
      examples/ — use SIEVE_CHECK / SIEVE_DCHECK (util/check.hpp) so
      contracts stay on in Release and print formatted context.
+
+Usage: check_style.py [--self-test]
+
+--self-test checks the include rule against a scratch tree instead of
+the repository.
 
 Exit status: 0 if clean, 1 if any violation was found.
 """
@@ -19,6 +27,7 @@ Exit status: 0 if clean, 1 if any violation was found.
 import os
 import re
 import sys
+import tempfile
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SOURCE_DIRS = ("src", "bench", "examples")
@@ -100,14 +109,18 @@ def checkHeaderGuard(relpath, lines, errors):
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+(["<])([^">]+)[">]')
 
 
-def checkIncludes(relpath, lines, prefixes, errors):
+def checkIncludes(relpath, lines, prefixes, errors, root=REPO):
+    here = os.path.dirname(os.path.join(root, relpath))
     for i, line in enumerate(lines):
         m = INCLUDE_RE.match(line)
         if not m:
             continue
         style, path = m.groups()
         top = path.split("/")[0]
-        is_project = top in prefixes
+        # A quoted name is looked up first beside the including file,
+        # so a file there is a project header whatever its name.
+        is_project = (top in prefixes or
+                      os.path.isfile(os.path.join(here, path)))
         if is_project and style == "<":
             errors.append(
                 f"{relpath}:{i + 1}: project header <{path}> must "
@@ -162,7 +175,44 @@ def collectFiles(dirs, exts):
     return sorted(out)
 
 
+def selfTest():
+    """The include rule on a scratch tree: a quoted sibling passes, a
+    quoted name with no file beside the includer (such as "vector")
+    fails, and a sibling in angle brackets fails."""
+    cases = (
+        ('#include "sibling.hpp"', True),
+        ('#include "util/check.hpp"', True),
+        ("#include <vector>", True),
+        ('#include "vector"', False),
+        ('#include "missing.hpp"', False),
+        ("#include <sibling.hpp>", False),
+        ("#include <util/check.hpp>", False),
+    )
+    failed = 0
+    with tempfile.TemporaryDirectory() as root:
+        os.makedirs(os.path.join(root, "pkg"))
+        open(os.path.join(root, "pkg", "sibling.hpp"), "w").close()
+        for line, clean in cases:
+            errors = []
+            checkIncludes(os.path.join("pkg", "user.cpp"), [line],
+                          {"util"}, errors, root=root)
+            if (not errors) != clean:
+                failed += 1
+                print(f"check_style self-test: {line!r} should "
+                      f"{'pass' if clean else 'fail'}; got {errors}",
+                      file=sys.stderr)
+    if failed:
+        return 1
+    print(f"check_style self-test OK ({len(cases)} include cases)")
+    return 0
+
+
 def main():
+    if sys.argv[1:] == ["--self-test"]:
+        return selfTest()
+    if sys.argv[1:]:
+        print(__doc__, file=sys.stderr)
+        return 2
     prefixes = projectPrefixes()
     errors = []
     # Test headers carry guards too (tests/modelcheck/sched.hpp ->

@@ -98,7 +98,8 @@ fi
 
 # ---- 3. custom style checker --------------------------------------
 step "check_style.py"
-if python3 scripts/check_style.py; then
+if python3 scripts/check_style.py --self-test &&
+        python3 scripts/check_style.py; then
     :
 else
     FAILED=1

@@ -20,6 +20,7 @@ AutoTunedSievePolicy::AutoTunedSievePolicy(SieveStoreCConfig sieve_cfg_,
         util::fatal("auto-tune t2 bounds must satisfy 1 <= min <= max");
     if (tune.churn_budget <= 0.0)
         util::fatal("auto-tune churn budget must be positive");
+    checkMissThreshold(tune.max_t2, "auto-tune max_t2");
     if (t2 < tune.min_t2)
         t2 = tune.min_t2;
     if (t2 > tune.max_t2)
@@ -104,6 +105,8 @@ AdaptiveSievePolicy::AdaptiveSievePolicy(AdaptiveSieveConfig config)
     if (cfg_.min_t2 == 0 || cfg_.min_t2 > cfg_.max_t2)
         util::fatal("adaptive sieve t2 bounds must satisfy "
                     "1 <= min <= max");
+    checkMissThreshold(cfg_.max_t1, "adaptive sieve max_t1");
+    checkMissThreshold(cfg_.max_t2, "adaptive sieve max_t2");
     if (cfg_.ghost_budget == 0)
         util::fatal("adaptive sieve ghost budget must be positive");
     if (cfg_.ghost_budget >= util::IndexList::kNull)
@@ -253,7 +256,7 @@ AdaptiveSievePolicy::observe(const trace::BlockAccess &access)
     // the candidate's slice of the bank.
     SIEVE_ASSERT_NO_ALLOC;
     const WindowSpec &spec = cfg_.base.window;
-    const uint64_t sub = spec.subwindowOf(access.time);
+    const uint32_t sub = spec.subwindowOf(access.time);
     const uint32_t *found = rows_by_block_.find(access.block);
     uint32_t r = found != nullptr ? *found : kNoRow;
     // Pages never move, and r is freed only at the end, so the row
@@ -312,7 +315,7 @@ AdaptiveSievePolicy::observe(const trace::BlockAccess &access)
     // candidate whose first access of the subwindow was a ghost hit
     // has not pruned yet; sweeping before it does would leave its
     // expired entries, and their rows, for another subwindow.
-    uint64_t pruned = cand_[0].prune_sub;
+    uint32_t pruned = cand_[0].prune_sub;
     for (const Candidate &c : cand_)
         pruned = std::min(pruned, c.prune_sub);
     if (pruned > swept_sub_) {

@@ -39,7 +39,8 @@ struct AutoTuneConfig
     /** Hysteresis: only tighten above budget * (1 + slack), only
      * loosen below budget * (1 - slack). */
     double slack = 0.25;
-    /** Bounds for the adjusted MCT threshold t2. */
+    /** Bounds for the adjusted MCT threshold t2; max_t2 may not
+     * exceed kMaxMissThreshold. */
     uint32_t min_t2 = 1;
     uint32_t max_t2 = 16;
 };
@@ -113,7 +114,8 @@ struct AdaptiveSieveConfig
     size_t imct_slots = 1 << 14;
     /** Neighborhood radius: candidate settings are the current
      * (t1, t2) plus (t1 +- t1_step, t2) and (t1, t2 +- t2_step),
-     * clamped to the bounds below. */
+     * clamped to the bounds below (each maximum at most
+     * kMaxMissThreshold). */
     uint32_t t1_step = 2;
     uint32_t t2_step = 1;
     uint32_t min_t1 = 1;
@@ -260,7 +262,7 @@ class AdaptiveSievePolicy : public AllocationPolicy
         uint64_t allocated = 0;
         /** Subwindow of the candidate's last shadow miss: the point
          * its eager MCT would last have been pruned at. */
-        uint64_t prune_sub = 0;
+        uint32_t prune_sub = 0;
     };
 
     /** Fused shadow IMCT slot: one counter per candidate. */
@@ -321,7 +323,7 @@ class AdaptiveSievePolicy : public AllocationPolicy
     std::array<util::IndexList, kCandidates> ghosts_;
     /** Newest subwindow every candidate had pruned at when the bank
      * last swept. */
-    uint64_t swept_sub_ = 0;
+    uint32_t swept_sub_ = 0;
 };
 
 } // namespace core

@@ -13,6 +13,7 @@ namespace core {
 Imct::Imct(size_t slots, WindowSpec window, uint64_t seed_)
     : spec(window), seed(seed_)
 {
+    spec.validate();
     if (slots == 0)
         util::fatal("IMCT requires at least one slot");
     table.resize(slots);

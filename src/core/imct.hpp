@@ -30,7 +30,9 @@ class Imct
   public:
     /**
      * @param slots  number of counter slots (power of two not required)
-     * @param window window configuration shared with the MCT
+     * @param window window configuration shared with the MCT;
+     *               rejected with util::fatal unless
+     *               WindowSpec::validate() passes
      * @param seed   hash seed (decorrelates tables in multi-instance
      *               deployments)
      */

@@ -13,6 +13,7 @@ namespace core {
 Mct::Mct(WindowSpec window)
     : spec(window)
 {
+    spec.validate();
 }
 
 bool
@@ -106,7 +107,7 @@ Mct::memoryBytes() const
 size_t
 Mct::staleEntries(util::TimeUs t) const
 {
-    const uint64_t cur_sub = spec.subwindowOf(t);
+    const uint32_t cur_sub = spec.subwindowOf(t);
     size_t stale = 0;
     entries.forEach([&](uint64_t, const WindowedCounter &counter) {
         if (counter.stale(cur_sub, spec))
@@ -133,7 +134,7 @@ Mct::prune(util::TimeUs t)
     // Tombstone-free backward-shift erase: pruning thousands of stale
     // entries per subwindow frees nothing and allocates nothing.
     SIEVE_ASSERT_NO_ALLOC;
-    const uint64_t cur_sub = spec.subwindowOf(t);
+    const uint32_t cur_sub = spec.subwindowOf(t);
     entries.eraseIf([&](uint64_t, const WindowedCounter &counter) {
         return counter.stale(cur_sub, spec);
     });

@@ -27,6 +27,7 @@ namespace core {
 class Mct
 {
   public:
+    /** @param window as for Imct: validated with util::fatal. */
     explicit Mct(WindowSpec window);
 
     /** True if the block is currently tracked. */

@@ -14,6 +14,16 @@ SieveStoreCPolicy::SieveStoreCPolicy(SieveStoreCConfig config)
         util::fatal("SieveStore-C: imct_only and mct_only are exclusive");
     if (cfg.t1 == 0 && cfg.t2 == 0)
         util::fatal("SieveStore-C: at least one threshold must be > 0");
+    // Every threshold a counter is compared against must be decidable
+    // on saturating tallies; the one-tier ablations compare one
+    // counter against the sum.
+    if (cfg.imct_only || cfg.mct_only) {
+        checkMissThreshold(uint64_t{cfg.t1} + cfg.t2,
+                           "SieveStore-C t1 + t2");
+    } else {
+        checkMissThreshold(cfg.t1, "SieveStore-C t1");
+        checkMissThreshold(cfg.t2, "SieveStore-C t2");
+    }
 }
 
 AllocDecision

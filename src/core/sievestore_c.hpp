@@ -27,10 +27,13 @@ namespace core {
 /** SieveStore-C tunables. */
 struct SieveStoreCConfig
 {
-    /** IMCT slot count; the paper's deployment used ~8 GB of DRAM for
-     * IMCT + MCT combined. Scale with the trace. */
+    /** IMCT slot count, 8 bytes each. The paper budgets about 8 GB of
+     * DRAM for IMCT + MCT combined; the benches' 450 M full-scale
+     * slots take 3.6 GB of it. Scale with the trace. */
     size_t imct_slots = 1 << 22;
-    /** IMCT (first-tier) miss threshold t1 (paper: 9). */
+    /** IMCT (first-tier) miss threshold t1 (paper: 9). Every
+     * threshold a counter is compared against must be at most
+     * kMaxMissThreshold; see checkMissThreshold(). */
     uint32_t t1 = 9;
     /** MCT (second-tier) additional-miss threshold t2 (paper: 4). */
     uint32_t t2 = 4;
@@ -97,6 +100,7 @@ class SieveStoreCPolicy : public AllocationPolicy
      * Adjust the MCT threshold online (used by the Section 7
      * auto-tuner). Takes effect on the next miss; blocks already in
      * the MCT are judged against the new value.
+     * @pre t2 <= kMaxMissThreshold, like every threshold set online
      */
     void setT2(uint32_t t2) { cfg.t2 = t2; }
 

@@ -11,8 +11,9 @@
  * larger than the last-updated counter by k or more, then all counters
  * are inferred to be stale and zeroed out."
  *
- * WindowedCounter is that per-entry state; WindowSpec carries the (W, k)
- * configuration shared by all entries of a table.
+ * WindowedCounter is that per-entry state, packed into 8 bytes;
+ * WindowSpec carries the (W, k) configuration shared by all entries of
+ * a table.
  */
 
 #ifndef SIEVESTORE_CORE_WINDOWED_COUNTER_HPP
@@ -28,8 +29,32 @@
 namespace sievestore {
 namespace core {
 
-/** Maximum supported subwindow count per window. */
-constexpr uint32_t kMaxSubwindows = 8;
+/** Maximum supported subwindow count per window: the paper's k = 4. */
+constexpr uint32_t kMaxSubwindows = 4;
+
+/**
+ * Largest subwindow index a counter can stamp. Stamps are 32 bits;
+ * stopping k short of 2^32 - 1 keeps `stamp + k` from wrapping too.
+ */
+constexpr uint64_t kMaxSubwindowIndex = UINT32_MAX - kMaxSubwindows;
+
+/**
+ * Largest miss threshold a windowed counter decides exactly. Each
+ * subwindow tally saturates here, and once one live tally saturates
+ * the windowed total is already at or above any such threshold.
+ */
+constexpr uint32_t kMaxMissThreshold = UINT8_MAX;
+
+/** Reject a miss threshold above kMaxMissThreshold (util::fatal). */
+inline void
+checkMissThreshold(uint64_t threshold, const char *what)
+{
+    if (threshold > kMaxMissThreshold)
+        util::fatal("%s = %llu exceeds %u, where windowed miss counters "
+                    "saturate",
+                    what, static_cast<unsigned long long>(threshold),
+                    kMaxMissThreshold);
+}
 
 /** Window configuration: W split into k subwindows. */
 struct WindowSpec
@@ -39,11 +64,38 @@ struct WindowSpec
     /** Number of subwindows (the paper tunes k = 4, W = 8 h). */
     uint32_t k = 4;
 
-    /** Subwindow index containing time t. */
-    uint64_t
+    /**
+     * Subwindow index containing time t. An index past
+     * kMaxSubwindowIndex does not fit a counter's stamp and is fatal,
+     * never wrapped.
+     */
+    uint32_t
     subwindowOf(util::TimeUs t) const
     {
-        return t / subwindow_us;
+        const uint64_t sub = t / subwindow_us;
+        if (sub > kMaxSubwindowIndex) [[unlikely]]
+            util::fatal("time %llu us falls in subwindow %llu, past the "
+                        "counters' 32-bit stamp limit %llu",
+                        static_cast<unsigned long long>(t),
+                        static_cast<unsigned long long>(sub),
+                        static_cast<unsigned long long>(
+                            kMaxSubwindowIndex));
+        return static_cast<uint32_t>(sub);
+    }
+
+    /**
+     * Reject a spec no counter can run (util::fatal): k outside
+     * [1, kMaxSubwindows], or a zero-length subwindow.
+     */
+    void
+    validate() const
+    {
+        if (k == 0 || k > kMaxSubwindows)
+            util::fatal("window subwindow count k = %u must be in "
+                        "[1, %u]",
+                        k, kMaxSubwindows);
+        if (subwindow_us == 0)
+            util::fatal("window subwindow length must be positive");
     }
 
     /** The paper's tuned configuration: W = 8 h, k = 4. */
@@ -57,18 +109,21 @@ struct WindowSpec
     static WindowSpec
     ofWindow(util::TimeUs window_us, uint32_t k = 4)
     {
-        if (k == 0 || k > kMaxSubwindows)
-            util::fatal("window subwindow count must be in [1, %u]",
-                        kMaxSubwindows);
-        if (window_us < k)
-            util::fatal("window too short for %u subwindows", k);
-        return WindowSpec{window_us / k, k};
+        const WindowSpec spec{k == 0 ? 0 : window_us / k, k};
+        spec.validate();
+        return spec;
     }
 };
 
 /**
- * Per-entry sliding-window counter: k saturating subwindow tallies plus
- * the last-updated subwindow index. 20 bytes per entry at k = 4.
+ * Per-entry sliding-window counter in 8 bytes: k saturating 8-bit
+ * subwindow tallies plus the last-updated subwindow index as a 32-bit
+ * stamp.
+ *
+ * Saturation changes no decision. Every threshold a counter is
+ * compared against is at most kMaxMissThreshold (checkMissThreshold
+ * at construction), and once a live tally saturates the total is
+ * already at or above it. A recorded miss still counts at least 1.
  */
 class WindowedCounter
 {
@@ -78,25 +133,25 @@ class WindowedCounter
      * @return the windowed total including this miss
      */
     uint32_t
-    record(uint64_t cur_sub, const WindowSpec &spec)
+    record(uint32_t cur_sub, const WindowSpec &spec)
     {
         advance(cur_sub, spec);
         auto &slot = counts[cur_sub % spec.k];
-        if (slot < UINT16_MAX)
+        if (slot < kMaxMissThreshold)
             ++slot;
         return total(cur_sub, spec);
     }
 
     /** Windowed total as of `cur_sub` (expiry-aware, no mutation). */
     uint32_t
-    total(uint64_t cur_sub, const WindowSpec &spec) const
+    total(uint32_t cur_sub, const WindowSpec &spec) const
     {
         if (cur_sub >= last_sub + spec.k)
             return 0;
         uint32_t sum = 0;
         // Only subwindows in (cur_sub - k, last_sub] are live.
         for (uint32_t i = 0; i < spec.k; ++i) {
-            const uint64_t sub = last_sub - i;
+            const uint32_t sub = last_sub - i;
             if (sub + spec.k > cur_sub)
                 sum += counts[sub % spec.k];
             if (sub == 0)
@@ -107,7 +162,7 @@ class WindowedCounter
 
     /** True if every subwindow has expired as of `cur_sub`. */
     bool
-    stale(uint64_t cur_sub, const WindowSpec &spec) const
+    stale(uint32_t cur_sub, const WindowSpec &spec) const
     {
         return cur_sub >= last_sub + spec.k;
     }
@@ -119,7 +174,7 @@ class WindowedCounter
      * first second-tier miss.
      */
     void
-    touch(uint64_t cur_sub, const WindowSpec &spec)
+    touch(uint32_t cur_sub, const WindowSpec &spec)
     {
         advance(cur_sub, spec);
     }
@@ -135,9 +190,10 @@ class WindowedCounter
     /**
      * Audit the counter's structural invariants against `spec`:
      * only the first k subwindow slots may ever hold counts (record()
-     * and advance() index modulo k), and the expiry-aware total can
-     * never exceed what k saturated subwindows could hold. Aborts via
-     * SIEVE_CHECK on violation.
+     * and advance() index modulo k), the stamp leaves headroom for
+     * `stamp + k`, and the expiry-aware total can never exceed what k
+     * saturated subwindows could hold. Aborts via SIEVE_CHECK on
+     * violation.
      */
     void
     checkInvariants(const WindowSpec &spec) const
@@ -145,13 +201,14 @@ class WindowedCounter
         SIEVE_CHECK(spec.k >= 1 && spec.k <= kMaxSubwindows,
                     "window spec k=%u out of range", spec.k);
         SIEVE_CHECK(spec.subwindow_us > 0);
+        SIEVE_CHECK(last_sub <= kMaxSubwindowIndex,
+                    "counter stamp %u past the subwindow limit",
+                    last_sub);
         for (uint32_t i = spec.k; i < kMaxSubwindows; ++i)
             SIEVE_CHECK(counts[i] == 0,
                         "subwindow slot %u beyond k=%u holds count %u",
                         i, spec.k, counts[i]);
-        const uint64_t max_total =
-            static_cast<uint64_t>(spec.k) * UINT16_MAX;
-        SIEVE_CHECK(total(last_sub, spec) <= max_total);
+        SIEVE_CHECK(total(last_sub, spec) <= spec.k * kMaxMissThreshold);
         // A counter that reports stale must also report a zero total.
         if (stale(last_sub + spec.k, spec))
             SIEVE_CHECK(total(last_sub + spec.k, spec) == 0);
@@ -159,8 +216,9 @@ class WindowedCounter
 
   private:
     void
-    advance(uint64_t cur_sub, const WindowSpec &spec)
+    advance(uint32_t cur_sub, const WindowSpec &spec)
     {
+        SIEVE_DCHECK(cur_sub <= kMaxSubwindowIndex);
         if (cur_sub < last_sub) {
             // Out-of-order timestamps can occur when completion-time
             // allocations interleave with issue-time misses; clamp to
@@ -170,15 +228,18 @@ class WindowedCounter
         if (cur_sub >= last_sub + spec.k) {
             counts.fill(0);
         } else {
-            for (uint64_t s = last_sub + 1; s <= cur_sub; ++s)
+            for (uint32_t s = last_sub + 1; s <= cur_sub; ++s)
                 counts[s % spec.k] = 0;
         }
         last_sub = cur_sub;
     }
 
-    std::array<uint16_t, kMaxSubwindows> counts{};
-    uint64_t last_sub = 0;
+    std::array<uint8_t, kMaxSubwindows> counts{};
+    uint32_t last_sub = 0;
 };
+
+static_assert(sizeof(WindowedCounter) == 8,
+              "WindowedCounter must pack into 8 bytes");
 
 } // namespace core
 } // namespace sievestore

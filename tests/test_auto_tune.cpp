@@ -141,6 +141,13 @@ TEST(AutoTune, RejectsBadConfig)
     AutoTuneConfig zero;
     zero.churn_budget = 0.0;
     EXPECT_THROW(AutoTunedSievePolicy(looseSieve(), zero), FatalError);
+    // t2 may climb to max_t2, so max_t2 is held to the counters'
+    // saturation point.
+    AutoTuneConfig high;
+    high.max_t2 = kMaxMissThreshold;
+    EXPECT_NO_THROW(AutoTunedSievePolicy(looseSieve(), high));
+    high.max_t2 = kMaxMissThreshold + 1;
+    EXPECT_THROW(AutoTunedSievePolicy(looseSieve(), high), FatalError);
 }
 
 TEST(AutoTune, Name)
@@ -347,6 +354,22 @@ TEST(AdaptiveSieve, RejectsBadConfig)
     AdaptiveSieveConfig no_prune = smallAdaptive(4, 2);
     no_prune.base.prune_on_subwindow = false;
     EXPECT_THROW(AdaptiveSievePolicy{no_prune}, FatalError);
+    // Candidates may reach either upper bound, so both are held to
+    // the counters' saturation point.
+    AdaptiveSieveConfig high_t1 = smallAdaptive(4, 2);
+    high_t1.max_t1 = kMaxMissThreshold + 1;
+    EXPECT_THROW(AdaptiveSievePolicy{high_t1}, FatalError);
+    AdaptiveSieveConfig high_t2 = smallAdaptive(4, 2);
+    high_t2.max_t2 = kMaxMissThreshold + 1;
+    EXPECT_THROW(AdaptiveSievePolicy{high_t2}, FatalError);
+    AdaptiveSieveConfig at_bound = smallAdaptive(4, 2);
+    at_bound.max_t1 = kMaxMissThreshold;
+    at_bound.max_t2 = kMaxMissThreshold;
+    EXPECT_NO_THROW(AdaptiveSievePolicy{at_bound});
+    // The window is validated by the production sieve's tables.
+    AdaptiveSieveConfig k5 = smallAdaptive(4, 2);
+    k5.base.window.k = kMaxSubwindows + 1;
+    EXPECT_THROW(AdaptiveSievePolicy{k5}, FatalError);
 }
 
 } // namespace

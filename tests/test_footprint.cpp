@@ -37,11 +37,11 @@ paperWindow()
     return WindowSpec::paperDefault();
 }
 
-TEST(Footprint, WindowedCounterIs24Bytes)
+TEST(Footprint, WindowedCounterIs8Bytes)
 {
-    // k = 8 max subwindows at uint16_t each plus the 8-byte cursor:
+    // k = 4 max subwindows at uint8_t each plus the 4-byte stamp:
     // the per-entry unit every Section 3.3 size is a multiple of.
-    EXPECT_EQ(sizeof(WindowedCounter), 24u);
+    EXPECT_EQ(sizeof(WindowedCounter), 8u);
 }
 
 TEST(Footprint, ImctIsSlotsTimesCounterSize)
@@ -57,8 +57,8 @@ TEST(Footprint, ImctIsSlotsTimesCounterSize)
 TEST(Footprint, MctIsAllocatedSlotsTimesSlotBytes)
 {
     // Flat-table convention: allocated slots x (key + payload + 1
-    // metadata byte). With a 24-byte WindowedCounter payload that is
-    // 33 bytes per slot.
+    // metadata byte). With an 8-byte WindowedCounter payload that is
+    // 17 bytes per slot.
     Mct mct(paperWindow());
     EXPECT_EQ(mct.memoryBytes(), 0u) << "empty MCT allocates nothing";
     const util::TimeUs t = util::makeTime(0, 1);
@@ -66,8 +66,8 @@ TEST(Footprint, MctIsAllocatedSlotsTimesSlotBytes)
         mct.admit(b, t);
     // 100 entries need 128 slots at the 7/8 load-factor bound.
     EXPECT_EQ(mct.memoryBytes(),
-              util::flatIndexFootprintBytes(128, 8 + 24));
-    EXPECT_EQ(mct.memoryBytes(), 128u * 33u);
+              util::flatIndexFootprintBytes(128, 8 + 8));
+    EXPECT_EQ(mct.memoryBytes(), 128u * 17u);
 }
 
 TEST(Footprint, FlatIndexFormulaIsSlotsTimesSlotBytesPlusOne)

@@ -100,6 +100,19 @@ TEST(Imct, RejectsZeroSlots)
     EXPECT_THROW(Imct(0, WindowSpec::paperDefault()), FatalError);
 }
 
+TEST(Imct, RejectsBadWindow)
+{
+    WindowSpec k0 = WindowSpec::paperDefault();
+    k0.k = 0;
+    EXPECT_THROW(Imct(16, k0), FatalError);
+    WindowSpec k5 = WindowSpec::paperDefault();
+    k5.k = kMaxSubwindows + 1;
+    EXPECT_THROW(Imct(16, k5), FatalError);
+    WindowSpec no_len = WindowSpec::paperDefault();
+    no_len.subwindow_us = 0;
+    EXPECT_THROW(Imct(16, no_len), FatalError);
+}
+
 TEST(Imct, SpreadsBlocksAcrossSlots)
 {
     Imct imct(256, WindowSpec::paperDefault());

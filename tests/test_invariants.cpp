@@ -53,12 +53,12 @@ TEST(InvariantAudit, WindowedCounterAcrossBoundariesAndGaps)
     c.checkInvariants(spec); // freshly-constructed counter audits
 
     // Fill every live subwindow, auditing as each one rolls over.
-    for (uint64_t sub = 0; sub < 2 * spec.k; ++sub) {
+    for (uint32_t sub = 0; sub < 2 * spec.k; ++sub) {
         c.record(sub, spec);
         c.checkInvariants(spec);
     }
     // A gap of exactly k expires everything.
-    const uint64_t last = 2 * spec.k - 1;
+    const uint32_t last = 2 * spec.k - 1;
     EXPECT_TRUE(c.stale(last + spec.k, spec));
     EXPECT_EQ(c.total(last + spec.k, spec), 0u);
     // Out-of-order record (issue/completion interleaving) clamps to

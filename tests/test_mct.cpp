@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include "core/mct.hpp"
+#include "util/logging.hpp"
 
 namespace {
 
 using namespace sievestore::core;
+using sievestore::util::FatalError;
 using sievestore::util::TimeUs;
 
 const WindowSpec kSpec = WindowSpec::paperDefault();
@@ -18,6 +20,19 @@ TimeUs
 sub(uint64_t s)
 {
     return s * kSpec.subwindow_us;
+}
+
+TEST(Mct, RejectsBadWindow)
+{
+    WindowSpec k0 = kSpec;
+    k0.k = 0;
+    EXPECT_THROW(Mct{k0}, FatalError);
+    WindowSpec k5 = kSpec;
+    k5.k = kMaxSubwindows + 1;
+    EXPECT_THROW(Mct{k5}, FatalError);
+    WindowSpec no_len = kSpec;
+    no_len.subwindow_us = 0;
+    EXPECT_THROW(Mct{no_len}, FatalError);
 }
 
 TEST(Mct, TracksOnlyAdmittedBlocks)

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/sievestore_c.hpp"
+#include "util/logging.hpp"
 #include "util/random.hpp"
 
 namespace {
@@ -150,11 +151,22 @@ TEST_P(SieveReference, AgreesOnRandomMissStreams)
     EXPECT_GT(allocations, 0);
 }
 
+TEST(SieveReference, RejectsMoreThanFourSubwindows)
+{
+    // The packed counters hold the paper's k = 4 tallies at most; a
+    // wider window is refused at construction rather than run.
+    SieveStoreCConfig cfg;
+    cfg.window.k = 8;
+    cfg.window.subwindow_us = 10000000;
+    cfg.imct_slots = 1 << 10;
+    EXPECT_THROW(SieveStoreCPolicy{cfg}, sievestore::util::FatalError);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, SieveReference,
     ::testing::Values(Params{9, 4, 4, 1}, Params{9, 4, 4, 2},
                       Params{1, 1, 4, 3}, Params{3, 0, 4, 4},
-                      Params{9, 4, 2, 5}, Params{5, 2, 8, 6},
+                      Params{9, 4, 2, 5}, Params{5, 2, 3, 6},
                       Params{2, 7, 4, 7}, Params{4, 2, 1, 8}));
 
 } // namespace

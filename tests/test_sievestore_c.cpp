@@ -174,6 +174,55 @@ TEST(SieveStoreC, RejectsContradictoryConfig)
     EXPECT_THROW(SieveStoreCPolicy{zeros}, FatalError);
 }
 
+TEST(SieveStoreC, RejectsBadConfig)
+{
+    // The window spec is validated where the counters are built.
+    // Unchecked, a zero k or subwindow length would divide by zero on
+    // the first miss, and a k past kMaxSubwindows would index past
+    // the tallies.
+    SieveStoreCConfig k0 = smallConfig();
+    k0.window.k = 0;
+    EXPECT_THROW(SieveStoreCPolicy{k0}, FatalError);
+    SieveStoreCConfig k5 = smallConfig();
+    k5.window.k = kMaxSubwindows + 1;
+    EXPECT_THROW(SieveStoreCPolicy{k5}, FatalError);
+    SieveStoreCConfig no_len = smallConfig();
+    no_len.window.subwindow_us = 0;
+    EXPECT_THROW(SieveStoreCPolicy{no_len}, FatalError);
+
+    // Every threshold a counter is compared against stays within the
+    // tallies' saturation point: t1 and t2 in the two-tier sieve, and
+    // their sum in the one-tier ablations.
+    SieveStoreCConfig t1 = smallConfig();
+    t1.t1 = kMaxMissThreshold;
+    EXPECT_NO_THROW(SieveStoreCPolicy{t1});
+    t1.t1 = kMaxMissThreshold + 1;
+    EXPECT_THROW(SieveStoreCPolicy{t1}, FatalError);
+    SieveStoreCConfig t2 = smallConfig();
+    t2.t2 = kMaxMissThreshold + 1;
+    EXPECT_THROW(SieveStoreCPolicy{t2}, FatalError);
+    for (const bool imct_only : {true, false}) {
+        SieveStoreCConfig sum = smallConfig();
+        sum.imct_only = imct_only;
+        sum.mct_only = !imct_only;
+        sum.t1 = 200;
+        sum.t2 = kMaxMissThreshold - 200;
+        EXPECT_NO_THROW(SieveStoreCPolicy{sum});
+        sum.t2 = kMaxMissThreshold - 199;
+        EXPECT_THROW(SieveStoreCPolicy{sum}, FatalError);
+    }
+
+    // A time whose subwindow index does not fit the counters' 32-bit
+    // stamp is rejected, not wrapped into an old subwindow.
+    SieveStoreCConfig fine = smallConfig();
+    fine.window.subwindow_us = 1;
+    SieveStoreCPolicy tiny(fine);
+    EXPECT_NO_THROW(tiny.onMiss(missAt(1, kMaxSubwindowIndex)));
+    EXPECT_THROW(tiny.onMiss(missAt(1, TimeUs{1} << 32)), FatalError);
+    EXPECT_THROW(tiny.onMiss(missAt(1, kMaxSubwindowIndex + 1)),
+                 FatalError);
+}
+
 TEST(SieveStoreC, PaperDefaults)
 {
     SieveStoreCConfig cfg;
