@@ -20,6 +20,7 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/appliance.hpp"
@@ -83,22 +84,22 @@ main(int argc, char **argv)
         fabricated = true;
     }
 
-    // One reader per CSV, merged into a single time-ordered stream.
-    std::vector<std::unique_ptr<trace::TraceReader>> readers;
-    uint64_t files = 0;
-    for (const auto &entry : fs::directory_iterator(dir)) {
-        if (entry.path().extension() != ".csv")
-            continue;
-        readers.push_back(std::make_unique<trace::MsrCsvReader>(
-            entry.path().string(), ensemble));
-        ++files;
-    }
-    if (readers.empty()) {
+    // One reader per CSV, all on one clock (the midnight before the
+    // earliest record), merged into a single time-ordered stream.
+    std::vector<std::string> paths;
+    for (const auto &entry : fs::directory_iterator(dir))
+        if (entry.path().extension() == ".csv")
+            paths.push_back(entry.path().string());
+    if (paths.empty()) {
         std::fprintf(stderr, "no .csv files in %s\n", dir.c_str());
         return 1;
     }
-    std::printf("replaying %llu trace files...\n",
-                static_cast<unsigned long long>(files));
+    const uint64_t origin = trace::msrSharedOrigin(paths, ensemble);
+    std::vector<std::unique_ptr<trace::TraceReader>> readers;
+    for (const std::string &path : paths)
+        readers.push_back(
+            std::make_unique<trace::MsrCsvReader>(path, ensemble, origin));
+    std::printf("replaying %zu trace files...\n", paths.size());
     trace::MergedTrace merged(std::move(readers));
 
     // A SieveStore-C appliance sized for the sample volume.

@@ -40,12 +40,16 @@ main(int argc, char **argv)
     std::unique_ptr<trace::TraceReader> reader;
     const auto ensemble = trace::EnsembleConfig::paperEnsemble();
     if (std::strcmp(argv[1], "--msr") == 0) {
-        std::vector<std::unique_ptr<trace::TraceReader>> sources;
-        for (int i = 2; i < argc; ++i)
-            sources.push_back(std::make_unique<trace::MsrCsvReader>(
-                argv[i], ensemble));
-        if (sources.empty())
+        const std::vector<std::string> paths(argv + 2, argv + argc);
+        if (paths.empty())
             util::fatal("--msr requires at least one CSV file");
+        // One clock for every file: the midnight before the earliest
+        // record.
+        const uint64_t origin = trace::msrSharedOrigin(paths, ensemble);
+        std::vector<std::unique_ptr<trace::TraceReader>> sources;
+        for (const std::string &path : paths)
+            sources.push_back(std::make_unique<trace::MsrCsvReader>(
+                path, ensemble, origin));
         reader = std::make_unique<trace::MergedTrace>(
             std::move(sources));
     } else {

@@ -4,14 +4,15 @@
  *
  * The MSR traces ship as one CSV per server; the ensemble-level
  * experiments need a single globally time-ordered stream. MergedTrace
- * performs a heap-based k-way merge over any set of TraceReaders.
+ * merges any set of TraceReaders, pulling each in runs through
+ * nextBatch() and emitting the earliest head.
  */
 
 #ifndef SIEVESTORE_TRACE_MERGE_HPP
 #define SIEVESTORE_TRACE_MERGE_HPP
 
 #include <memory>
-#include <queue>
+#include <span>
 #include <vector>
 
 #include "trace/trace_reader.hpp"
@@ -19,7 +20,11 @@
 namespace sievestore {
 namespace trace {
 
-/** Merge several time-ordered readers into one time-ordered stream. */
+/**
+ * Merge several time-ordered readers into one time-ordered stream.
+ * The earliest head goes first; equal times go to the lower source
+ * index.
+ */
 class MergedTrace : public TraceReader
 {
   public:
@@ -27,31 +32,30 @@ class MergedTrace : public TraceReader
     explicit MergedTrace(std::vector<std::unique_ptr<TraceReader>> sources);
 
     bool next(Request &out) override;
+    size_t nextBatch(std::span<Request> out) override;
     void reset() override;
 
   private:
-    struct HeapEntry
+    /** Requests pulled from one source per nextBatch() call. */
+    static constexpr size_t kRun = kDefaultBatchRequests;
+
+    /** Source i's pulled requests are runs[i * kRun + [pos, len)). */
+    struct Lane
     {
-        Request req;
-        size_t source;
-    };
-    struct Later
-    {
-        bool
-        operator()(const HeapEntry &a, const HeapEntry &b) const
-        {
-            // Min-heap on time; tie-break on source index for
-            // deterministic interleaving.
-            if (a.req.time != b.req.time)
-                return a.req.time > b.req.time;
-            return a.source > b.source;
-        }
+        size_t pos = 0;
+        size_t len = 0;
     };
 
     void prime();
+    bool refill(size_t source);
 
     std::vector<std::unique_ptr<TraceReader>> sources;
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>, Later> heap;
+    std::vector<Request> runs;
+    std::vector<Lane> lanes;
+    /** Sources with requests left, in ascending index order. */
+    std::vector<size_t> live;
+    /** Time of each live source's next request. */
+    std::vector<util::TimeUs> head_times;
     bool primed = false;
 };
 

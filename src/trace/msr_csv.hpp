@@ -25,8 +25,8 @@
 
 #include <cstdint>
 #include <fstream>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "trace/ensemble.hpp"
@@ -43,14 +43,42 @@ constexpr uint64_t kTicksPerDay = 24ULL * 3600 * 1000 * 1000 * kTicksPerUs;
 /**
  * Streaming reader for one MSR-format CSV file.
  *
- * Records whose hostname is not present in the ensemble are skipped with
- * a (once-per-host) warning; malformed lines are fatal. Requests within
- * one MSR file are time-ordered; merging multiple per-server files is
- * done with MergedTrace (merge.hpp).
+ * The file is read in chunks into one buffer and each line is parsed in
+ * one pass without allocating. Blank lines and lines starting with '#' are
+ * ignored. No record's content ends the process: a record the reader
+ * cannot use is skipped and counted by reason (SkipCounts), with one
+ * warning per reason per file naming the file and the line. Failing to
+ * open, read or rewind the file is fatal. Yielded requests are
+ * time-ordered; merging per-server files is done with MergedTrace
+ * (merge.hpp), with one origin for all of them (msrSharedOrigin()).
  */
 class MsrCsvReader : public TraceReader
 {
   public:
+    /** Records skipped so far, by reason; skipped() is their sum. */
+    struct SkipCounts
+    {
+        /** Not seven fields, a numeric field that is not a decimal
+         * uint64, or an extent or latency a Request cannot hold. */
+        uint64_t malformed = 0;
+        /** Hostname not in the ensemble. */
+        uint64_t unknown_host = 0;
+        /** Disk index past the host's volumes. */
+        uint64_t unknown_disk = 0;
+        /** Timestamp before the origin. */
+        uint64_t before_origin = 0;
+        /** Timestamp earlier than the previous record yielded from
+         * the same file. */
+        uint64_t out_of_order = 0;
+
+        uint64_t
+        total() const
+        {
+            return malformed + unknown_host + unknown_disk +
+                   before_origin + out_of_order;
+        }
+    };
+
     /**
      * @param path         CSV file path
      * @param ensemble     maps hostnames/disks to volumes
@@ -62,26 +90,79 @@ class MsrCsvReader : public TraceReader
                  uint64_t origin_ticks = 0);
 
     bool next(Request &out) override;
+    /** Decode straight out of the read buffer; allocation-free. */
+    size_t nextBatch(std::span<Request> out) override;
+    /** Rewind to the first record and zero the skip counts. */
     void reset() override;
 
     /** Origin actually used (after auto-detection). */
     uint64_t originTicks() const { return origin; }
 
-    /** Number of records skipped for unknown host / unknown disk. */
-    uint64_t skipped() const { return skipped_records; }
+    /** Number of records skipped, for any reason. */
+    uint64_t skipped() const { return skips.total(); }
+
+    /** Records skipped, by reason. */
+    const SkipCounts &skipCounts() const { return skips; }
 
   private:
-    bool parseLine(const std::string &line, Request &out);
+    /** What parseLine() made of one record. */
+    enum class Verdict : uint8_t
+    {
+        Accept,
+        Malformed,
+        UnknownHost,
+        UnknownDisk,
+        BeforeOrigin,
+        OutOfOrder,
+    };
+
+    /** One ensemble server, keyed by its lowercased hostname. */
+    struct Host
+    {
+        std::string key;
+        const ServerInfo *server;
+    };
+
+    Verdict parseLine(const char *line, Request &out, const char *&eol);
+    const Host *findHost(const char *first, const char *last);
+    bool refill();
+    void growBuffer();
+    void skip(Verdict why, const char *line, const char *eol);
 
     std::string path;
     const EnsembleConfig &ensemble;
     std::ifstream in;
+    /** Read buffer; bytes [pos, end) are not yet parsed, and
+     * [pos, lines_end) are whole lines, each ending in '\n'. */
+    std::vector<char> buf;
+    size_t pos = 0;
+    size_t lines_end = 0;
+    size_t end = 0;
+    bool at_eof = false;
+    /** 1-based number of the line last taken from the buffer. */
+    uint64_t line_no = 0;
     uint64_t origin;
     bool origin_fixed;
-    uint64_t skipped_records = 0;
-    std::unordered_map<std::string, ServerId> host_map;
-    std::vector<bool> warned_hosts;
+    /** Timestamp of the last record yielded, in ticks. */
+    uint64_t last_ticks = 0;
+    std::vector<Host> hosts;
+    /** Index into hosts of the last match: one file is usually one
+     * host. */
+    size_t last_host = 0;
+    SkipCounts skips;
+    /** Bit per Verdict already warned about in this file. */
+    uint32_t warned = 0;
 };
+
+/**
+ * The origin to give every reader of one merged trace: the calendar
+ * midnight preceding the earliest first record across `paths`, or 0
+ * (auto-detect) when no file holds a usable record. Readers built with
+ * origin 0 each pick their own file's midnight, which shifts every file
+ * whose trace starts on a later day against the others.
+ */
+uint64_t msrSharedOrigin(const std::vector<std::string> &paths,
+                         const EnsembleConfig &ensemble);
 
 /**
  * Write requests in MSR CSV format (round-trip of MsrCsvReader). Used by

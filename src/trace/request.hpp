@@ -23,6 +23,14 @@ namespace trace {
 enum class Op : uint8_t { Read = 0, Write = 1 };
 
 /**
+ * Longest request a trace decoder yields, in blocks (1 TiB). Consumers
+ * walk a request with a 32-bit block index in steps of up to a probe
+ * chunk; a length within one chunk of 2^32 wraps that index and never
+ * ends, so decoders reject anything longer than this.
+ */
+inline constexpr uint32_t kMaxRequestBlocks = uint32_t(1) << 31;
+
+/**
  * One multi-block I/O request as recorded below the buffer cache.
  */
 struct Request

@@ -11,9 +11,10 @@ namespace trace {
 size_t
 TraceReader::nextBatch(std::span<Request> out)
 {
-    // Generic fallback: per-request virtual decode. Streaming parsers
-    // (msr_csv) allocate per line, so no batch-wide no-alloc claim is
-    // made here. // sieve-lint: allow(batch-guard)
+    // Generic fallback for readers without a bulk path (test doubles,
+    // decorators): one virtual next() per request. What next() does
+    // is unknown here, so no batch-wide no-alloc claim is made.
+    // sieve-lint: allow(batch-guard)
     size_t produced = 0;
     while (produced < out.size() && next(out[produced]))
         ++produced;

@@ -50,9 +50,8 @@ class TraceReader
      * stream is interchangeable with next(): concatenating nextBatch()
      * results yields exactly the per-call sequence (property-tested
      * for every reader), and the two forms may be mixed freely. The
-     * base implementation loops next(); bulk sources (VectorTrace,
-     * BinaryTraceReader) override it to decode without per-request
-     * virtual dispatch.
+     * base implementation loops next(); every reader under src/
+     * overrides it to decode without per-request virtual dispatch.
      */
     virtual size_t nextBatch(std::span<Request> out);
 

@@ -1,68 +1,10 @@
 #include "util/string_util.hpp"
 
 #include <cctype>
-#include <charconv>
 #include <cstdio>
 
 namespace sievestore {
 namespace util {
-
-std::vector<std::string_view>
-splitView(std::string_view line, char delim)
-{
-    std::vector<std::string_view> fields;
-    size_t start = 0;
-    while (true) {
-        const size_t pos = line.find(delim, start);
-        if (pos == std::string_view::npos) {
-            fields.push_back(line.substr(start));
-            break;
-        }
-        fields.push_back(line.substr(start, pos - start));
-        start = pos + 1;
-    }
-    return fields;
-}
-
-std::string_view
-trimView(std::string_view sv)
-{
-    size_t begin = 0;
-    size_t end = sv.size();
-    while (begin < end &&
-           std::isspace(static_cast<unsigned char>(sv[begin]))) {
-        ++begin;
-    }
-    while (end > begin &&
-           std::isspace(static_cast<unsigned char>(sv[end - 1]))) {
-        --end;
-    }
-    return sv.substr(begin, end - begin);
-}
-
-bool
-parseU64(std::string_view sv, uint64_t &out)
-{
-    sv = trimView(sv);
-    if (sv.empty())
-        return false;
-    const auto *first = sv.data();
-    const auto *last = sv.data() + sv.size();
-    auto [ptr, ec] = std::from_chars(first, last, out);
-    return ec == std::errc() && ptr == last;
-}
-
-bool
-parseDouble(std::string_view sv, double &out)
-{
-    sv = trimView(sv);
-    if (sv.empty())
-        return false;
-    const auto *first = sv.data();
-    const auto *last = sv.data() + sv.size();
-    auto [ptr, ec] = std::from_chars(first, last, out);
-    return ec == std::errc() && ptr == last;
-}
 
 std::string
 toLower(std::string_view sv)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Small string utilities used by the CSV trace parser and table output.
+ * Small string utilities used by trace writers and table output.
  */
 
 #ifndef SIEVESTORE_UTIL_STRING_UTIL_HPP
@@ -9,27 +9,9 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace sievestore {
 namespace util {
-
-/** Split a line on a delimiter; keeps empty fields. */
-std::vector<std::string_view> splitView(std::string_view line, char delim);
-
-/** Strip leading and trailing ASCII whitespace. */
-std::string_view trimView(std::string_view sv);
-
-/**
- * Parse an unsigned 64-bit integer.
- * @param sv  digits only (after trimming)
- * @param out parsed value
- * @retval true on success, false on empty/overflow/non-digit input
- */
-bool parseU64(std::string_view sv, uint64_t &out);
-
-/** Parse a double. @retval true on success. */
-bool parseDouble(std::string_view sv, double &out);
 
 /** ASCII lower-casing (locale independent). */
 std::string toLower(std::string_view sv);

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for string utilities (CSV parsing helpers, formatting).
+ * Unit tests for string utilities (lower-casing, formatting).
  */
 
 #include <gtest/gtest.h>
@@ -10,73 +10,6 @@
 namespace {
 
 using namespace sievestore::util;
-
-TEST(SplitView, BasicFields)
-{
-    const auto f = splitView("a,b,c", ',');
-    ASSERT_EQ(f.size(), 3u);
-    EXPECT_EQ(f[0], "a");
-    EXPECT_EQ(f[1], "b");
-    EXPECT_EQ(f[2], "c");
-}
-
-TEST(SplitView, KeepsEmptyFields)
-{
-    const auto f = splitView(",x,,", ',');
-    ASSERT_EQ(f.size(), 4u);
-    EXPECT_EQ(f[0], "");
-    EXPECT_EQ(f[1], "x");
-    EXPECT_EQ(f[2], "");
-    EXPECT_EQ(f[3], "");
-}
-
-TEST(SplitView, NoDelimiter)
-{
-    const auto f = splitView("whole", ',');
-    ASSERT_EQ(f.size(), 1u);
-    EXPECT_EQ(f[0], "whole");
-}
-
-TEST(TrimView, StripsWhitespace)
-{
-    EXPECT_EQ(trimView("  x y \t\n"), "x y");
-    EXPECT_EQ(trimView(""), "");
-    EXPECT_EQ(trimView("   "), "");
-    EXPECT_EQ(trimView("z"), "z");
-}
-
-TEST(ParseU64, Valid)
-{
-    uint64_t v = 0;
-    EXPECT_TRUE(parseU64("12345", v));
-    EXPECT_EQ(v, 12345u);
-    EXPECT_TRUE(parseU64("  42 ", v));
-    EXPECT_EQ(v, 42u);
-    EXPECT_TRUE(parseU64("18446744073709551615", v));
-    EXPECT_EQ(v, UINT64_MAX);
-}
-
-TEST(ParseU64, Invalid)
-{
-    uint64_t v = 0;
-    EXPECT_FALSE(parseU64("", v));
-    EXPECT_FALSE(parseU64("abc", v));
-    EXPECT_FALSE(parseU64("12x", v));
-    EXPECT_FALSE(parseU64("-5", v));
-    // Overflow: 2^64.
-    EXPECT_FALSE(parseU64("18446744073709551616", v));
-}
-
-TEST(ParseDouble, ValidAndInvalid)
-{
-    double d = 0.0;
-    EXPECT_TRUE(parseDouble("3.25", d));
-    EXPECT_DOUBLE_EQ(d, 3.25);
-    EXPECT_TRUE(parseDouble("-1e3", d));
-    EXPECT_DOUBLE_EQ(d, -1000.0);
-    EXPECT_FALSE(parseDouble("", d));
-    EXPECT_FALSE(parseDouble("nope", d));
-}
 
 TEST(ToLower, AsciiOnly)
 {
