@@ -17,6 +17,7 @@
 #include <string>
 #include <unistd.h>
 
+#include "analysis/access_counter.hpp"
 #include "analysis/access_log.hpp"
 #include "cache/block_cache.hpp"
 #include "cache/ghost_cache.hpp"
@@ -303,6 +304,74 @@ BM_AdaptiveObserve(benchmark::State &state)
         static_cast<double>(policy.shadowRows());
 }
 BENCHMARK(BM_AdaptiveObserve)->Unit(benchmark::kMillisecond)->Iterations(3);
+
+/**
+ * SieveStore-D's in-memory epoch counter per block access, at
+ * bench/e2e's `sieved-epoch` scale (1/512): one synthetic day's
+ * requests, each walked in probe-chunk-sized runs of block ids as the
+ * appliance hands them over, through observeBatch (batched = 1) or
+ * one observe() per block (batched = 0). One iteration counts the
+ * whole day, reduces it at the paper's threshold of 10 and clears the
+ * counter, as an epoch boundary does; a warm-up day grows the table
+ * first, so every timed day runs on a table sized for it.
+ */
+void
+BM_AccessCounterObserve(benchmark::State &state)
+{
+    const bool batched = state.range(0) != 0;
+    trace::SyntheticConfig scfg;
+    scfg.scale = 1.0 / 512.0;
+    auto gen = trace::SyntheticEnsembleGenerator::paper(
+        trace::EnsembleConfig::paperEnsemble(), scfg);
+    const std::vector<trace::Request> day = gen.generateDay(3);
+    uint64_t accesses = 0;
+    for (const trace::Request &r : day)
+        accesses += r.length_blocks;
+
+    analysis::AccessCounter counter;
+    size_t selected = 0;
+    auto countDay = [&] {
+        constexpr size_t kChunk = cache::BlockCache::kProbeBatch;
+        trace::BlockId keys[kChunk];
+        for (const trace::Request &r : day) {
+            for (uint32_t base = 0; base < r.length_blocks;
+                 base += static_cast<uint32_t>(kChunk)) {
+                const auto n = static_cast<uint32_t>(
+                    std::min<size_t>(kChunk, r.length_blocks - base));
+                for (uint32_t i = 0; i < n; ++i)
+                    keys[i] = r.blockAt(base + i);
+                if (batched) {
+                    counter.observeBatch(
+                        std::span<const trace::BlockId>(keys, n));
+                } else {
+                    for (uint32_t i = 0; i < n; ++i)
+                        counter.observe(keys[i]);
+                }
+            }
+        }
+        selected = counter.countsAtLeast(10).size();
+        counter.clear();
+    };
+    countDay();
+    for (auto _ : state) {
+        countDay();
+        benchmark::DoNotOptimize(selected);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(accesses));
+    state.counters["ns_per_access"] = benchmark::Counter(
+        static_cast<double>(accesses),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+    state.counters["metastate_mb"] =
+        static_cast<double>(counter.memoryBytes()) / 1e6;
+}
+BENCHMARK(BM_AccessCounterObserve)
+    ->ArgName("batched")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(5);
 
 void
 BM_AccessLogAppendAndReduce(benchmark::State &state)

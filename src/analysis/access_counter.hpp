@@ -11,6 +11,7 @@
 #ifndef SIEVESTORE_ANALYSIS_ACCESS_COUNTER_HPP
 #define SIEVESTORE_ANALYSIS_ACCESS_COUNTER_HPP
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <unordered_map>
@@ -48,34 +49,44 @@ std::vector<BlockCount> sortedByCount(const BlockCounts &counts);
 void sortDescendingByCount(std::vector<BlockCount> &counts);
 
 /**
- * Per-block access counter on the flat block index
- * (util/flat_index.hpp): one open-addressing probe per observation
- * instead of a node-based unordered_map insert. This is the counting
- * state of the discrete selectors (SieveStore-D's in-memory ADBA
- * backend and the ablation selectors); reserve() lets the driver
- * pre-size it for the expected epoch population so steady-state
- * observation never rehashes, and clear() keeps the slot array so
- * epoch boundaries do not re-grow from scratch.
+ * One saturating count step: UINT32_MAX stays UINT32_MAX instead of
+ * wrapping to zero, where a counted block would vanish from its epoch.
+ * No real count gets there: a full-scale day is about 1.3 G block
+ * accesses (685 GB of 512-byte blocks), a third of the cap, and that
+ * is the whole ensemble's traffic, not one block's.
+ */
+constexpr uint32_t
+saturatingIncrement(uint32_t count)
+{
+    return count == UINT32_MAX ? count : count + 1;
+}
+
+/**
+ * Per-block epoch access counter, keyed by 4 KB page on the flat block
+ * index (util/flat_index.hpp). This is the counting state of the
+ * discrete selectors (SieveStore-D's in-memory ADBA backend and the
+ * ablation selectors).
+ *
+ * Each slot is one page (its trace::pageStart BlockId) holding the
+ * eight per-block counts inline, so a request's contiguous blocks,
+ * which share a page eight at a time, cost one probe per page rather
+ * than one per block. The reads expand pages back to blocks and skip
+ * zero counts, so every view is exactly what a per-block table would
+ * give. clear() keeps the slot array, so epoch boundaries do not
+ * re-grow from scratch.
  */
 class AccessCounter
 {
   public:
-    AccessCounter() = default;
-
-    /** Pre-sized for `expected_blocks` distinct blocks. */
-    explicit AccessCounter(size_t expected_blocks);
-
-    /** Grow so `expected_blocks` distinct blocks fit rehash-free. */
-    void reserve(size_t expected_blocks);
-
     /** Record one access to `block`. */
     void observe(trace::BlockId block);
 
     /**
-     * Record one access to each block, hash-ahead style: every home
-     * slot is prefetched before the first counter bump, hiding the
-     * table's DRAM latency across the batch. Counts are commutative,
-     * so the result is identical to observing in any order.
+     * Record one access to each block. Each run of consecutive blocks
+     * that share a page costs one probe, and every run's home slot is
+     * prefetched before the first probe issues, hiding the table's
+     * DRAM latency across the batch. Counts are commutative, so the
+     * result is identical to observing in any order.
      */
     void observeBatch(std::span<const trace::BlockId> blocks);
 
@@ -83,8 +94,8 @@ class AccessCounter
     uint64_t count(trace::BlockId block) const;
 
     /** Distinct blocks observed this epoch. */
-    size_t uniqueBlocks() const { return counts_.size(); }
-    bool empty() const { return counts_.empty(); }
+    size_t uniqueBlocks() const { return blocks_; }
+    bool empty() const { return blocks_ == 0; }
 
     /** Sum of all counts. */
     uint64_t totalAccesses() const;
@@ -99,16 +110,40 @@ class AccessCounter
     std::vector<trace::BlockId> sortedBlocks() const;
 
     /** Drop all counts but keep the slot array (epoch boundary). */
-    void clear() { counts_.clear(); }
+    void
+    clear()
+    {
+        pages_.clear();
+        blocks_ = 0;
+    }
 
     /** Metastate footprint (util/footprint.hpp convention). */
-    uint64_t memoryBytes() const { return counts_.memoryBytes(); }
+    uint64_t memoryBytes() const { return pages_.memoryBytes(); }
 
-    /** Audit the underlying table; aborts on violation. */
-    void checkInvariants() const { counts_.checkInvariants(); }
+    /**
+     * Audit the table, then the page layout: every key is
+     * page-aligned, no stored page is all-zero, and the distinct-block
+     * tally equals the number of nonzero counts. Aborts on violation.
+     */
+    void checkInvariants() const;
 
   private:
-    util::FlatIndex<uint64_t> counts_;
+    /** The per-block counts of one 4 KB page, by block within it. */
+    struct PageCounts
+    {
+        std::array<uint32_t, trace::kBlocksPerPage> blocks;
+    };
+
+    /** The counts of `block`'s page, inserted zeroed if absent. */
+    PageCounts &pageCounts(trace::BlockId block);
+    /** Count one access to `block` within its page's counts. */
+    void bump(PageCounts &page, trace::BlockId block);
+    /** Visit every nonzero count as fn(block, count). */
+    template <typename Fn> void forEachBlock(Fn &&fn) const;
+
+    util::FlatIndex<PageCounts> pages_;
+    /** Nonzero counts across all pages: the distinct-block tally. */
+    size_t blocks_ = 0;
 };
 
 } // namespace analysis

@@ -390,8 +390,6 @@ Appliance::processRequestInto(const trace::Request &req, DailyReport &rep)
             ++rep.accesses;
             if (is_read)
                 ++rep.read_accesses;
-            if (discrete)
-                observed_[i] = access;
 
             if (st[i] != nullptr) {
                 cache_.touchProbed(block, *st[i]);
@@ -430,11 +428,10 @@ Appliance::processRequestInto(const trace::Request &req, DailyReport &rep)
             }
         }
 
-        // Phase 4 — the selector observes the chunk in one call, so
-        // hash-table-backed selectors get the batched hash-ahead path.
+        // Phase 4 — the selector observes the chunk's blocks in one
+        // call, so the counting selectors get their page-run path.
         if (discrete)
-            selector_->observeBatch(
-                std::span<const trace::BlockAccess>(observed_, n));
+            selector_->observeBatch(std::span<const BlockId>(keys, n));
     }
 }
 

@@ -291,7 +291,7 @@ class Appliance
      * probe-gather (one findBatch over the cache index), then
      * sieve-prefetch (IMCT/MCT/pending lines for the gathered misses),
      * then an in-order decide+mutate pass, and finally hands the
-     * chunk's accesses to the discrete selector, if any. The gathered
+     * chunk's block ids to the discrete selector, if any. The gathered
      * pointers and hit/miss partition are exact: nothing mutates the
      * cache index within a request (allocations drain between
      * requests, hits only touch policy state).
@@ -387,11 +387,6 @@ class Appliance
     size_t n_stage_reads_ = 0;
     size_t n_stage_writes_ = 0;
     size_t n_stage_trims_ = 0;
-    /** The discrete selector's staged observations for one probe
-     * chunk. A member, not a per-request local: trace::BlockAccess
-     * has default member initializers, so a local array would be
-     * zero-filled on every request. */
-    trace::BlockAccess observed_[cache::BlockCache::kProbeBatch];
     /** batchReplace move capture, reused across epoch boundaries. */
     std::vector<trace::BlockId> batch_alloc_scratch_;
     std::vector<trace::BlockId> batch_evict_scratch_;

@@ -35,33 +35,24 @@ AdbaSelector::AdbaSelector(uint64_t threshold,
 // region only for flat continuous configurations (no selector), so
 // the region never covers this path.
 void SIEVE_MAY_ALLOC
-AdbaSelector::observe(const trace::BlockAccess &access)
+AdbaSelector::observe(BlockId block)
 {
     if (disk_log)
-        disk_log->log(access.block);
+        disk_log->log(block);
     else
-        mem_counts.observe(access.block);
+        mem_counts.observe(block);
 }
 
 void
-AdbaSelector::observeBatch(std::span<const trace::BlockAccess> accesses)
+AdbaSelector::observeBatch(std::span<const BlockId> blocks)
 {
     if (disk_log) {
         // The disk backend appends to a sequential log — no table to
         // hash ahead into; the scalar loop is already streaming.
-        DiscreteSelector::observeBatch(accesses);
+        DiscreteSelector::observeBatch(blocks);
         return;
     }
-    // In-memory backend: strip the accesses down to block ids in
-    // stack-sized chunks and run the counter's hash-ahead batch path.
-    constexpr size_t kChunk = util::FlatIndex<uint64_t>::kBatchChunk;
-    BlockId blocks[kChunk];
-    for (size_t base = 0; base < accesses.size(); base += kChunk) {
-        const size_t n = std::min(kChunk, accesses.size() - base);
-        for (size_t i = 0; i < n; ++i)
-            blocks[i] = accesses[base + i].block;
-        mem_counts.observeBatch(std::span<const BlockId>(blocks, n));
-    }
+    mem_counts.observeBatch(blocks);
 }
 
 std::vector<BlockId>
@@ -91,13 +82,6 @@ AdbaSelector::metastateBytes() const
 }
 
 void
-AdbaSelector::reserveEpochBlocks(size_t blocks)
-{
-    if (!disk_log)
-        mem_counts.reserve(blocks);
-}
-
-void
 AdbaSelector::checkInvariants() const
 {
     SIEVE_CHECK(threshold_ >= 1, "ADBA threshold must be >= 1");
@@ -118,9 +102,15 @@ RandomBlockSelector::RandomBlockSelector(double fraction_, uint64_t seed)
 }
 
 void
-RandomBlockSelector::observe(const trace::BlockAccess &access)
+RandomBlockSelector::observe(BlockId block)
 {
-    seen.observe(access.block);
+    seen.observe(block);
+}
+
+void
+RandomBlockSelector::observeBatch(std::span<const BlockId> blocks)
+{
+    seen.observeBatch(blocks);
 }
 
 std::vector<BlockId>
@@ -151,12 +141,6 @@ RandomBlockSelector::metastateBytes() const
 }
 
 void
-RandomBlockSelector::reserveEpochBlocks(size_t blocks)
-{
-    seen.reserve(blocks);
-}
-
-void
 RandomBlockSelector::checkInvariants() const
 {
     SIEVE_CHECK(fraction > 0.0 && fraction <= 1.0,
@@ -172,9 +156,15 @@ TopPercentSelector::TopPercentSelector(double fraction_)
 }
 
 void
-TopPercentSelector::observe(const trace::BlockAccess &access)
+TopPercentSelector::observe(BlockId block)
 {
-    counts.observe(access.block);
+    counts.observe(block);
+}
+
+void
+TopPercentSelector::observeBatch(std::span<const BlockId> blocks)
+{
+    counts.observeBatch(blocks);
 }
 
 std::vector<BlockId>
@@ -193,12 +183,6 @@ TopPercentSelector::metastateBytes() const
 }
 
 void
-TopPercentSelector::reserveEpochBlocks(size_t blocks)
-{
-    counts.reserve(blocks);
-}
-
-void
 TopPercentSelector::checkInvariants() const
 {
     SIEVE_CHECK(fraction > 0.0 && fraction <= 1.0,
@@ -213,7 +197,7 @@ OracleDaySelector::OracleDaySelector(
 }
 
 void
-OracleDaySelector::observe(const trace::BlockAccess &)
+OracleDaySelector::observe(BlockId)
 {
     // Nothing to learn: the oracle already knows the future.
 }

@@ -32,22 +32,21 @@ class DiscreteSelector
   public:
     virtual ~DiscreteSelector() = default;
 
-    /** Observe one block access during the current epoch. */
-    virtual void observe(const trace::BlockAccess &access) = 0;
+    /** Observe one access to `block` during the current epoch. */
+    virtual void observe(trace::BlockId block) = 0;
 
     /**
-     * Observe a batch of accesses from one request. Semantically
-     * exactly N observe() calls in order (the default is that loop);
-     * selectors with hash-table epoch state override it to run the
-     * batched hash-ahead probe path (AdbaSelector's in-memory
-     * backend). The appliance's batched request path stages per-block
-     * observations and flushes them through here.
+     * Observe one access to each block of a run from one request.
+     * Semantically exactly N observe() calls in order (the default is
+     * that loop); the counting selectors override it to run the
+     * counter's page-run batch path. The appliance's request path
+     * hands each probe chunk's block ids through here.
      */
     virtual void
-    observeBatch(std::span<const trace::BlockAccess> accesses)
+    observeBatch(std::span<const trace::BlockId> blocks)
     {
-        for (const trace::BlockAccess &access : accesses)
-            observe(access);
+        for (const trace::BlockId block : blocks)
+            observe(block);
     }
 
     /**
@@ -62,13 +61,6 @@ class DiscreteSelector
     /** Approximate in-memory metastate footprint
      * (util/footprint.hpp convention; excludes on-disk logs). */
     virtual uint64_t metastateBytes() const { return 0; }
-
-    /**
-     * Pre-size epoch state for an expected per-epoch distinct-block
-     * population so steady-state observation never rehashes (the
-     * driver passes its hint through; default: no-op).
-     */
-    virtual void reserveEpochBlocks(size_t) {}
 
     /** Audit selector invariants; aborts on violation (default: none). */
     virtual void checkInvariants() const {}
@@ -91,12 +83,11 @@ class AdbaSelector : public DiscreteSelector
     AdbaSelector(uint64_t threshold, const std::string &log_directory,
                  analysis::AccessLogConfig log_config = {});
 
-    void observe(const trace::BlockAccess &access) override;
-    void observeBatch(std::span<const trace::BlockAccess> accesses) override;
+    void observe(trace::BlockId block) override;
+    void observeBatch(std::span<const trace::BlockId> blocks) override;
     std::vector<trace::BlockId> endOfEpoch() override;
     const char *name() const override { return "SieveStore-D"; }
     uint64_t metastateBytes() const override;
-    void reserveEpochBlocks(size_t blocks) override;
     void checkInvariants() const override;
 
     uint64_t threshold() const { return threshold_; }
@@ -104,7 +95,7 @@ class AdbaSelector : public DiscreteSelector
   private:
     uint64_t threshold_;
     std::unique_ptr<analysis::AccessLog> disk_log;
-    /** In-memory backend: flat per-block epoch counts. */
+    /** In-memory backend: page-keyed per-block epoch counts. */
     analysis::AccessCounter mem_counts;
 };
 
@@ -115,11 +106,11 @@ class RandomBlockSelector : public DiscreteSelector
     explicit RandomBlockSelector(double fraction = 0.01,
                                  uint64_t seed = 11);
 
-    void observe(const trace::BlockAccess &access) override;
+    void observe(trace::BlockId block) override;
+    void observeBatch(std::span<const trace::BlockId> blocks) override;
     std::vector<trace::BlockId> endOfEpoch() override;
     const char *name() const override { return "RandSieve-BlkD"; }
     uint64_t metastateBytes() const override;
-    void reserveEpochBlocks(size_t blocks) override;
     void checkInvariants() const override;
 
   private:
@@ -141,11 +132,11 @@ class TopPercentSelector : public DiscreteSelector
   public:
     explicit TopPercentSelector(double fraction = 0.01);
 
-    void observe(const trace::BlockAccess &access) override;
+    void observe(trace::BlockId block) override;
+    void observeBatch(std::span<const trace::BlockId> blocks) override;
     std::vector<trace::BlockId> endOfEpoch() override;
     const char *name() const override { return "TopPercent-D"; }
     uint64_t metastateBytes() const override;
-    void reserveEpochBlocks(size_t blocks) override;
     void checkInvariants() const override;
 
   private:
@@ -172,7 +163,7 @@ class OracleDaySelector : public DiscreteSelector
     OracleDaySelector(std::vector<std::vector<trace::BlockId>> day_sets,
                       int first_day);
 
-    void observe(const trace::BlockAccess &access) override;
+    void observe(trace::BlockId block) override;
     std::vector<trace::BlockId> endOfEpoch() override;
     const char *name() const override { return "Ideal"; }
 

@@ -49,8 +49,6 @@ makeAppliance(const PolicyConfig &policy,
                       policy.adba_threshold, policy.adba_log_dir)
                 : std::make_unique<core::AdbaSelector>(
                       policy.adba_threshold);
-        if (policy.expected_epoch_blocks)
-            selector->reserveEpochBlocks(policy.expected_epoch_blocks);
         return std::make_unique<Appliance>(appliance,
                                            std::move(selector));
       }
@@ -67,8 +65,6 @@ makeAppliance(const PolicyConfig &policy,
       case PolicyKind::RandSieveBlkD: {
         auto selector = std::make_unique<core::RandomBlockSelector>(
             policy.rand_fraction, policy.seed);
-        if (policy.expected_epoch_blocks)
-            selector->reserveEpochBlocks(policy.expected_epoch_blocks);
         return std::make_unique<Appliance>(appliance,
                                            std::move(selector));
       }

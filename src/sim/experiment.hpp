@@ -64,13 +64,6 @@ struct PolicyConfig
     core::AdaptiveSieveConfig adaptive;
     /** Seed for randomized policies. */
     uint64_t seed = 17;
-    /**
-     * Expected distinct blocks per epoch; when non-zero the factory
-     * pre-sizes the discrete selector's counting state
-     * (DiscreteSelector::reserveEpochBlocks) so replay never rehashes
-     * it. Zero leaves the selector growing on demand.
-     */
-    uint64_t expected_epoch_blocks = 0;
 };
 
 /**

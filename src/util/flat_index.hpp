@@ -576,7 +576,7 @@ class FlatIndex
     }
 
     // SIEVE_MAY_ALLOC: amortized table growth. Guarded hot paths
-    // either pre-reserve (reserveEpochBlocks) or condition their
+    // either pre-reserve (BlockCache's capacity) or condition their
     // region on hasCapacityFor(), so an armed guard never reaches a
     // growing findOrInsert.
     void SIEVE_MAY_ALLOC

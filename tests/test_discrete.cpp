@@ -7,8 +7,10 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <memory>
 #include <unistd.h>
 #include <unordered_set>
+#include <vector>
 
 #include "core/discrete.hpp"
 #include "util/logging.hpp"
@@ -16,23 +18,14 @@
 namespace {
 
 using namespace sievestore::core;
-using sievestore::trace::BlockAccess;
 using sievestore::trace::BlockId;
 using sievestore::util::FatalError;
-
-BlockAccess
-accessTo(BlockId block)
-{
-    BlockAccess a;
-    a.block = block;
-    return a;
-}
 
 void
 observeTimes(DiscreteSelector &sel, BlockId block, int times)
 {
     for (int i = 0; i < times; ++i)
-        sel.observe(accessTo(block));
+        sel.observe(block);
 }
 
 TEST(Adba, SelectsBlocksMeetingThreshold)
@@ -87,7 +80,7 @@ TEST(RandomBlock, SelectsRequestedFractionOfSeenBlocks)
 {
     RandomBlockSelector sel(0.01, 42);
     for (BlockId b = 0; b < 10000; ++b)
-        sel.observe(accessTo(b));
+        sel.observe(b);
     const auto chosen = sel.endOfEpoch();
     EXPECT_EQ(chosen.size(), 100u);
     for (BlockId b : chosen)
@@ -103,7 +96,7 @@ TEST(RandomBlock, IgnoresAccessFrequency)
     // the selector samples *blocks*, not accesses.
     RandomBlockSelector sel(0.5, 7);
     observeTimes(sel, 1, 1000);
-    sel.observe(accessTo(2));
+    sel.observe(2);
     const auto chosen = sel.endOfEpoch();
     EXPECT_EQ(chosen.size(), 1u);
 }
@@ -113,7 +106,7 @@ TEST(RandomBlock, DeterministicForSeed)
     auto run = [](uint64_t seed) {
         RandomBlockSelector sel(0.1, seed);
         for (BlockId b = 0; b < 1000; ++b)
-            sel.observe(accessTo(b));
+            sel.observe(b);
         return sel.endOfEpoch();
     };
     auto a = run(5), b = run(5), c = run(6);
@@ -124,7 +117,7 @@ TEST(RandomBlock, DeterministicForSeed)
 TEST(RandomBlock, AtLeastOneWhenAnySeen)
 {
     RandomBlockSelector sel(0.001, 3);
-    sel.observe(accessTo(9));
+    sel.observe(9);
     EXPECT_EQ(sel.endOfEpoch().size(), 1u);
 }
 
@@ -164,8 +157,42 @@ TEST(OracleDay, ServesDaySetsInSequence)
 TEST(OracleDay, ObserveIsANoOp)
 {
     OracleDaySelector sel({{1}, {2}}, 0);
-    sel.observe(accessTo(999));
+    sel.observe(999);
     EXPECT_EQ(sel.endOfEpoch(), (std::vector<BlockId>{2}));
+}
+
+TEST(Selectors, ObserveBatchMatchesScalarObserve)
+{
+    // The counting selectors override observeBatch with the counter's
+    // page-run path; it must select what N observe() calls select.
+    auto makeAll = [] {
+        std::vector<std::unique_ptr<DiscreteSelector>> all;
+        all.push_back(std::make_unique<AdbaSelector>(3));
+        all.push_back(std::make_unique<RandomBlockSelector>(0.2, 5));
+        all.push_back(std::make_unique<TopPercentSelector>(0.2));
+        return all;
+    };
+    auto batched = makeAll();
+    auto scalar = makeAll();
+    for (int epoch = 0; epoch < 3; ++epoch) {
+        for (BlockId start = 0; start < 400; start += 13) {
+            // Unaligned runs of 1..20 blocks, overlapping hot ones.
+            std::vector<BlockId> run;
+            for (BlockId b = start; b < start + 1 + start % 20; ++b)
+                run.push_back(b % 64);
+            for (size_t i = 0; i < batched.size(); ++i) {
+                batched[i]->observeBatch(run);
+                for (const BlockId b : run)
+                    scalar[i]->observe(b);
+            }
+        }
+        for (size_t i = 0; i < batched.size(); ++i) {
+            const auto chosen = batched[i]->endOfEpoch();
+            EXPECT_FALSE(chosen.empty()) << batched[i]->name();
+            EXPECT_EQ(chosen, scalar[i]->endOfEpoch())
+                << batched[i]->name() << " epoch " << epoch;
+        }
+    }
 }
 
 TEST(Selectors, Names)

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/access_counter.hpp"
 #include "cache/block_cache.hpp"
 #include "cache/replacement.hpp"
 #include "core/imct.hpp"
@@ -68,6 +69,26 @@ TEST(Footprint, MctIsAllocatedSlotsTimesSlotBytes)
     EXPECT_EQ(mct.memoryBytes(),
               util::flatIndexFootprintBytes(128, 8 + 8));
     EXPECT_EQ(mct.memoryBytes(), 128u * 17u);
+}
+
+TEST(Footprint, AccessCounterIsPageSlotsTimes41Bytes)
+{
+    // SieveStore-D's epoch counter: one slot per 4 KB page, an 8-byte
+    // key and eight 4-byte block counts, plus the metadata byte.
+    analysis::AccessCounter counter;
+    EXPECT_EQ(counter.memoryBytes(), 0u) << "empty counter allocates nothing";
+    // 100 pages, fully covered: 800 blocks in 100 slots.
+    for (BlockId b = 0; b < 800; ++b)
+        counter.observe(b);
+    EXPECT_EQ(counter.uniqueBlocks(), 800u);
+    EXPECT_EQ(counter.memoryBytes(), util::flatIndexFootprintBytes(128, 40));
+    EXPECT_EQ(counter.memoryBytes(), 128u * 41u);
+    // One isolated block per page costs the same slot: the worst case
+    // is 41 bytes per block where a per-block table spends 17.
+    analysis::AccessCounter sparse;
+    for (BlockId b = 0; b < 100; ++b)
+        sparse.observe(b * trace::kBlocksPerPage);
+    EXPECT_EQ(sparse.memoryBytes(), counter.memoryBytes());
 }
 
 TEST(Footprint, FlatIndexFormulaIsSlotsTimesSlotBytesPlusOne)
