@@ -302,6 +302,8 @@ BM_AdaptiveObserve(benchmark::State &state)
             benchmark::Counter::kInvert);
     state.counters["shadow_rows"] =
         static_cast<double>(policy.shadowRows());
+    state.counters["shadow_pages"] =
+        static_cast<double>(policy.shadowPages());
 }
 BENCHMARK(BM_AdaptiveObserve)->Unit(benchmark::kMillisecond)->Iterations(3);
 

@@ -384,8 +384,12 @@ Appliance::processRequestInto(const trace::Request &req, DailyReport &rep)
             const uint64_t page = trace::blockNrOf(block) /
                                   trace::kBlocksPerPage;
             access.block = block;
-            access.completion =
-                trace::interpolatedCompletion(req, base + i);
+            // Only the continuous sieve reads the completion time
+            // (onHit, onMiss and PendingAlloc); a selector never sees
+            // the access.
+            if (!discrete)
+                access.completion =
+                    trace::interpolatedCompletion(req, base + i);
 
             ++rep.accesses;
             if (is_read)

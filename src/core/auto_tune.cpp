@@ -1,6 +1,7 @@
 #include "core/auto_tune.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/alloc_guard.hpp"
 #include "util/check.hpp"
@@ -167,31 +168,33 @@ AdaptiveSievePolicy::recenter()
 }
 
 uint32_t
-AdaptiveSievePolicy::addRow(trace::BlockId block)
+AdaptiveSievePolicy::addRow(trace::BlockId page)
 {
     uint32_t r = free_row_;
     if (r != kNoRow) {
-        free_row_ = static_cast<uint32_t>(row(r).block);
+        free_row_ = static_cast<uint32_t>(row(r).page);
     } else {
-        if (rows_used_ == pages_.size() * kPageRows) {
-            // A new page is the arena's one allocation; pages never
+        if (rows_used_ == chunks_.size() * kChunkRows) {
+            // A new chunk is the arena's one allocation; chunks never
             // move, so rows and pointers into them stay put.
-            SIEVE_CHECK(rows_used_ < kNoRow - kPageRows,
+            SIEVE_CHECK(rows_used_ < kNoRow - kChunkRows,
                         "adaptive shadow bank exceeds 2^32 rows");
             util::AllocGuardDisarm growth;
-            pages_.push_back(std::make_unique<Row[]>(kPageRows));
+            chunks_.push_back(std::make_unique<Row[]>(kChunkRows));
         }
         r = rows_used_++;
     }
-    row(r).block = block;
-    if (!rows_by_block_.hasCapacityFor(1)) {
+    row(r).page = page;
+    memo_page_ = page;
+    memo_row_ = r;
+    if (!rows_by_page_.hasCapacityFor(1)) {
         // Amortized index growth, exempted as in Mct::admit.
         util::AllocGuardDisarm growth;
-        *rows_by_block_.findOrInsert(block).first = r;
+        *rows_by_page_.findOrInsert(page).first = r;
         return r;
     }
     SIEVE_ASSERT_NO_ALLOC;
-    *rows_by_block_.findOrInsert(block).first = r;
+    *rows_by_page_.findOrInsert(page).first = r;
     return r;
 }
 
@@ -199,32 +202,37 @@ void
 AdaptiveSievePolicy::freeRow(uint32_t r)
 {
     Row &w = row(r);
-    SIEVE_DCHECK(w.ghost == 0 && w.mct == 0);
-    const bool erased = rows_by_block_.erase(w.block);
-    SIEVE_CHECK(erased, "shadow row %u's block %llx is not indexed", r,
-                static_cast<unsigned long long>(w.block));
-    w.block = free_row_;
+    SIEVE_DCHECK(!w.live());
+    const bool erased = rows_by_page_.erase(w.page);
+    SIEVE_CHECK(erased, "shadow row %u's page %llx is not indexed", r,
+                static_cast<unsigned long long>(w.page));
+    if (r == memo_row_)
+        memo_row_ = kNoRow; // the memo's page is untracked now
+    w.page = free_row_;
     free_row_ = r;
 }
 
 void
-AdaptiveSievePolicy::ghostInsert(size_t i, uint32_t r)
+AdaptiveSievePolicy::ghostInsert(size_t i, uint32_t r, size_t lane)
 {
     // The GhostCache::insert contract on a fused row: evict the
     // oldest block first at budget, then push the new one to the
-    // front. The victim is never `r` — r is not in this ghost.
+    // front. The victim is never r's lane (that block is not in this
+    // ghost), but it may be another lane of r's page; r may then hold
+    // no bit until the push below, so it must not be freed here.
     util::IndexList &ghost = ghosts_[i];
     if (ghost.size() >= cfg_.ghost_budget) {
-        const auto victim = static_cast<uint32_t>(ghost.value(ghost.tail()));
+        const uint64_t victim = ghost.value(ghost.tail());
         ghost.erase(ghost.tail());
-        Row &v = row(victim);
-        v.ghost &= static_cast<uint8_t>(~bitOf(i));
-        if (v.ghost == 0 && v.mct == 0)
-            freeRow(victim);
+        const auto vr = static_cast<uint32_t>(victim / kLanes);
+        Row &v = row(vr);
+        v.ghost[victim % kLanes] &= static_cast<uint8_t>(~bitOf(i));
+        if (vr != r && !v.live())
+            freeRow(vr);
     }
     Row &w = row(r);
-    w.ghost |= bitOf(i);
-    w.node[i] = ghost.pushFront(r);
+    w.ghost[lane] |= bitOf(i);
+    w.lanes[lane].node[i] = ghost.pushFront(uint64_t{r} * kLanes + lane);
 }
 
 void
@@ -232,15 +240,21 @@ AdaptiveSievePolicy::expire(uint8_t candidates, uint32_t keep)
 {
     SIEVE_ASSERT_NO_ALLOC;
     const WindowSpec &spec = cfg_.base.window;
+    // `candidates` in every lane's byte.
+    const uint64_t swept = candidates * 0x0101010101010101ULL;
     for (uint32_t r = 0; r < rows_used_; ++r) {
         Row &w = row(r);
-        if ((w.mct & candidates) == 0)
+        if ((Row::word(w.mct) & swept) == 0)
             continue; // free rows hold no bits
-        for (size_t i = 0; i < kCandidates; ++i)
-            if ((w.mct & candidates & bitOf(i)) != 0 &&
-                w.count[i].stale(cand_[i].prune_sub, spec))
-                w.mct &= static_cast<uint8_t>(~bitOf(i));
-        if (w.ghost == 0 && w.mct == 0 && r != keep)
+        for (size_t l = 0; l < kLanes; ++l) {
+            for (unsigned due = w.mct[l] & candidates; due != 0;
+                 due &= due - 1) {
+                const auto i = static_cast<size_t>(std::countr_zero(due));
+                if (w.lanes[l].count[i].stale(cand_[i].prune_sub, spec))
+                    w.mct[l] &= static_cast<uint8_t>(~bitOf(i));
+            }
+        }
+        if (r != keep && !w.live())
             freeRow(r);
     }
 }
@@ -257,18 +271,24 @@ AdaptiveSievePolicy::observe(const trace::BlockAccess &access)
     SIEVE_ASSERT_NO_ALLOC;
     const WindowSpec &spec = cfg_.base.window;
     const uint32_t sub = spec.subwindowOf(access.time);
-    const uint32_t *found = rows_by_block_.find(access.block);
-    uint32_t r = found != nullptr ? *found : kNoRow;
-    // Pages never move, and r is freed only at the end, so the row
+    const trace::BlockId page = trace::pageStart(access.block);
+    const auto lane = static_cast<size_t>(access.block - page);
+    if (page != memo_page_) {
+        const uint32_t *found = rows_by_page_.find(page);
+        memo_page_ = page;
+        memo_row_ = found != nullptr ? *found : kNoRow;
+    }
+    uint32_t r = memo_row_;
+    // Chunks never move, and r is freed only at the end, so the row
     // pointer stays valid through the loop.
-    Row *w = found != nullptr ? &row(r) : nullptr;
+    Row *w = r != kNoRow ? &row(r) : nullptr;
     ImctSlot *slot = nullptr;
     for (size_t i = 0; i < kCandidates; ++i) {
         Candidate &c = cand_[i];
         const uint8_t bit = bitOf(i);
-        if (w != nullptr && (w->ghost & bit) != 0) {
+        if (w != nullptr && (w->ghost[lane] & bit) != 0) {
             ++c.captured;
-            ghosts_[i].moveToFront(w->node[i]);
+            ghosts_[i].moveToFront(w->lanes[lane].node[i]);
             continue;
         }
         // The shadow's subwindow-boundary prune. Lazy expiry below
@@ -280,16 +300,17 @@ AdaptiveSievePolicy::observe(const trace::BlockAccess &access)
                 expire(bit, r);
             c.prune_sub = sub;
         }
-        if (w != nullptr && (w->mct & bit) != 0) {
-            if (!w->count[i].stale(sub, spec)) {
-                if (w->count[i].record(sub, spec) >= c.t2) {
-                    w->mct &= static_cast<uint8_t>(~bit);
+        if (w != nullptr && (w->mct[lane] & bit) != 0) {
+            WindowedCounter &count = w->lanes[lane].count[i];
+            if (!count.stale(sub, spec)) {
+                if (count.record(sub, spec) >= c.t2) {
+                    w->mct[lane] &= static_cast<uint8_t>(~bit);
                     ++c.allocated;
-                    ghostInsert(i, r);
+                    ghostInsert(i, r, lane);
                 }
                 continue;
             }
-            w->mct &= static_cast<uint8_t>(~bit);
+            w->mct[lane] &= static_cast<uint8_t>(~bit);
         }
         if (slot == nullptr) // Imct::slotOf, with the base seed
             slot = &imct_[util::reduceRange(
@@ -300,15 +321,15 @@ AdaptiveSievePolicy::observe(const trace::BlockAccess &access)
         if ((*slot)[i].record(sub, spec) >= c.t1) {
             ++c.qualified;
             if (w == nullptr) {
-                r = addRow(access.block);
+                r = addRow(page);
                 w = &row(r);
             }
-            w->mct |= bit;
-            w->count[i] = WindowedCounter{};
-            w->count[i].touch(sub, spec);
+            w->mct[lane] |= bit;
+            w->lanes[lane].count[i] = WindowedCounter{};
+            w->lanes[lane].count[i].touch(sub, spec);
         }
     }
-    if (w != nullptr && w->ghost == 0 && w->mct == 0)
+    if (w != nullptr && !w->live())
         freeRow(r);
     // One sweep per subwindow, once every candidate's prune point has
     // reached it, reclaims what all five prunes would have dropped. A
@@ -378,14 +399,26 @@ AdaptiveSievePolicy::BankBytes
 AdaptiveSievePolicy::bankBytes() const
 {
     BankBytes b;
-    b.index = rows_by_block_.memoryBytes();
-    b.pages = static_cast<uint64_t>(pages_.size()) * kPageRows *
-                  sizeof(Row) +
-              util::vectorFootprintBytes(pages_);
+    b.index = rows_by_page_.memoryBytes();
+    b.chunks = static_cast<uint64_t>(chunks_.size()) * kChunkRows *
+                   sizeof(Row) +
+               util::vectorFootprintBytes(chunks_);
     b.imct = util::vectorFootprintBytes(imct_);
     for (const auto &ghost : ghosts_)
         b.ghosts += ghost.memoryBytes();
     return b;
+}
+
+size_t
+AdaptiveSievePolicy::shadowRows() const
+{
+    size_t blocks = 0;
+    for (uint32_t r = 0; r < rows_used_; ++r) {
+        const Row &w = row(r);
+        for (size_t l = 0; l < kLanes; ++l)
+            blocks += (w.ghost[l] | w.mct[l]) != 0 ? 1 : 0;
+    }
+    return blocks;
 }
 
 uint64_t
@@ -427,48 +460,55 @@ AdaptiveSievePolicy::checkInvariants() const
     const WindowSpec &spec = cfg_.base.window;
 
     // Rows against the index: every live row is indexed under its
-    // block and never has one candidate in both its ghost and its
+    // page, and no lane has one candidate in both its ghost and its
     // MCT; every other row is on the free list, and the index holds
-    // nothing else.
-    rows_by_block_.checkInvariants();
-    SIEVE_CHECK(pages_.size() * kPageRows >= rows_used_,
-                "%u rows handed out from %zu pages", rows_used_,
-                pages_.size());
+    // nothing else. The memo agrees with the index.
+    rows_by_page_.checkInvariants();
+    SIEVE_CHECK(chunks_.size() * kChunkRows >= rows_used_,
+                "%u rows handed out from %zu chunks", rows_used_,
+                chunks_.size());
     size_t live = 0;
     size_t in_ghost[kCandidates] = {};
     size_t in_mct[kCandidates] = {};
     for (uint32_t r = 0; r < rows_used_; ++r) {
         const Row &w = row(r);
-        if ((w.ghost | w.mct) == 0)
+        if (!w.live())
             continue;
         ++live;
-        const uint32_t *indexed = rows_by_block_.find(w.block);
+        SIEVE_CHECK(trace::pageStart(w.page) == w.page,
+                    "shadow row %u's key %llx is not a page start", r,
+                    static_cast<unsigned long long>(w.page));
+        const uint32_t *indexed = rows_by_page_.find(w.page);
         SIEVE_CHECK(indexed != nullptr && *indexed == r,
-                    "shadow row %u's block %llx is not indexed to it",
-                    r, static_cast<unsigned long long>(w.block));
-        SIEVE_CHECK(((w.ghost | w.mct) & ~kAllCandidates) == 0,
-                    "shadow row %u holds bits ghost=%#x mct=%#x", r,
-                    w.ghost, w.mct);
-        SIEVE_CHECK((w.ghost & w.mct) == 0,
-                    "shadow row %u is in a candidate's ghost and MCT "
-                    "at once (ghost=%#x mct=%#x)",
-                    r, w.ghost, w.mct);
-        for (size_t i = 0; i < kCandidates; ++i) {
-            if ((w.ghost & bitOf(i)) != 0)
-                ++in_ghost[i];
-            if ((w.mct & bitOf(i)) != 0) {
-                ++in_mct[i];
-                w.count[i].checkInvariants(spec);
+                    "shadow row %u's page %llx is not indexed to it", r,
+                    static_cast<unsigned long long>(w.page));
+        for (size_t l = 0; l < kLanes; ++l) {
+            const uint8_t ghost = w.ghost[l], mct = w.mct[l];
+            SIEVE_CHECK(((ghost | mct) & ~kAllCandidates) == 0,
+                        "shadow row %u lane %zu holds bits ghost=%#x "
+                        "mct=%#x",
+                        r, l, ghost, mct);
+            SIEVE_CHECK((ghost & mct) == 0,
+                        "shadow row %u lane %zu is in a candidate's "
+                        "ghost and MCT at once (ghost=%#x mct=%#x)",
+                        r, l, ghost, mct);
+            for (size_t i = 0; i < kCandidates; ++i) {
+                if ((ghost & bitOf(i)) != 0)
+                    ++in_ghost[i];
+                if ((mct & bitOf(i)) != 0) {
+                    ++in_mct[i];
+                    w.lanes[l].count[i].checkInvariants(spec);
+                }
             }
         }
     }
-    SIEVE_CHECK(live == rows_by_block_.size(),
+    SIEVE_CHECK(live == rows_by_page_.size(),
                 "%zu live shadow rows, %zu indexed", live,
-                rows_by_block_.size());
+                rows_by_page_.size());
     size_t free_rows = 0;
     for (uint32_t r = free_row_; r != kNoRow;
-         r = static_cast<uint32_t>(row(r).block)) {
-        SIEVE_CHECK(r < rows_used_ && (row(r).ghost | row(r).mct) == 0,
+         r = static_cast<uint32_t>(row(r).page)) {
+        SIEVE_CHECK(r < rows_used_ && !row(r).live(),
                     "shadow free list reaches row %u", r);
         SIEVE_CHECK(++free_rows <= rows_used_ - live,
                     "shadow free list longer than the free rows");
@@ -476,6 +516,11 @@ AdaptiveSievePolicy::checkInvariants() const
     SIEVE_CHECK(free_rows + live == rows_used_,
                 "%zu free + %zu live shadow rows, %u handed out",
                 free_rows, live, rows_used_);
+    // kNoPage is no page start, so no live row is indexed under it.
+    const uint32_t *memo = rows_by_page_.find(memo_page_);
+    SIEVE_CHECK((memo != nullptr ? *memo : kNoRow) == memo_row_,
+                "shadow memo maps page %llx to row %u against the index",
+                static_cast<unsigned long long>(memo_page_), memo_row_);
 
     for (size_t i = 0; i < kCandidates; ++i) {
         const Candidate &c = cand_[i];
@@ -497,15 +542,17 @@ AdaptiveSievePolicy::checkInvariants() const
                     i, ghost.size(), in_ghost[i]);
         for (uint32_t n = ghost.head(); n != util::IndexList::kNull;
              n = ghost.next(n)) {
-            const uint64_t r = ghost.value(n);
+            const uint64_t r = ghost.value(n) / kLanes;
+            const size_t l = ghost.value(n) % kLanes;
             SIEVE_CHECK(r < rows_used_, "candidate %zu's ghost links row "
                         "%llu of %u", i,
                         static_cast<unsigned long long>(r), rows_used_);
             const Row &w = row(static_cast<uint32_t>(r));
-            SIEVE_CHECK((w.ghost & bitOf(i)) != 0 && w.node[i] == n,
-                        "candidate %zu's ghost node %u and row %llu "
-                        "disagree",
-                        i, n, static_cast<unsigned long long>(r));
+            SIEVE_CHECK((w.ghost[l] & bitOf(i)) != 0 &&
+                            w.lanes[l].node[i] == n,
+                        "candidate %zu's ghost node %u and row %llu lane "
+                        "%zu disagree",
+                        i, n, static_cast<unsigned long long>(r), l);
         }
         // Every MCT entry and every allocation consumed one IMCT
         // qualification (the SieveStoreCPolicy audit, per candidate).

@@ -17,11 +17,13 @@
 #define SIEVESTORE_CORE_AUTO_TUNE_HPP
 
 #include <array>
+#include <cstring>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "core/sievestore_c.hpp"
+#include "trace/block.hpp"
 #include "util/check.hpp"
 #include "util/flat_index.hpp"
 
@@ -143,17 +145,18 @@ struct AdaptiveSieveConfig
  *
  * The five shadows live in one shadow bank rather than five
  * (SieveStoreCPolicy, GhostCache) pairs: a single FlatIndex maps a
- * block to a row holding every candidate's state for it (ghost bit
- * and recency node, MCT bit and windowed counter), rows sit in a
- * paged arena that never moves them, and one fused shadow IMCT keeps
- * five counters per slot. An access costs one index probe instead of
- * five ghost probes plus up to five MCT probes. MCT entries expire
- * lazily — a candidate treats an entry stale as of its last prune
- * subwindow as absent — and one row sweep per subwindow reclaims
- * them, which reproduces each candidate's eager Mct::prune exactly
- * (DESIGN.md section 15 has the argument). Each candidate's
- * per-epoch capture count is therefore the one five independent
- * shadows would produce.
+ * 4 KB page to a row holding every candidate's state for each of its
+ * eight blocks (ghost bit and recency node, MCT bit and windowed
+ * counter), rows sit in a chunked arena that never moves them, and
+ * one fused shadow IMCT keeps five counters per slot. An access costs
+ * at most one index probe instead of five ghost probes plus up to
+ * five MCT probes, and a run of accesses to one page shares a single
+ * probe through a one-entry memo. MCT entries expire lazily — a
+ * candidate treats an entry stale as of its last prune subwindow as
+ * absent — and one row sweep per subwindow reclaims them, which
+ * reproduces each candidate's eager Mct::prune exactly (DESIGN.md
+ * section 15 has the argument). Each candidate's per-epoch capture
+ * count is therefore the one five independent shadows would produce.
  *
  * Decisions still come only from the production sieve; shadows and
  * ghosts observe the same model-side stream and steer nothing within
@@ -179,10 +182,11 @@ class AdaptiveSievePolicy : public AllocationPolicy
     std::optional<SieveTuning> tuning() const override;
     /**
      * Audit the controller and the shadow bank: thresholds in bounds;
-     * rows, index entries and ghost lists agree; each ghost within
-     * budget; per candidate, MCT bits plus allocations never exceed
-     * IMCT qualifications; every windowed counter consistent. O(rows
-     * + IMCT slots); aborts on violation.
+     * rows (keyed by page start, live exactly while a lane holds a
+     * bit), index entries, the page memo and ghost lists agree; each
+     * ghost within budget; per candidate, MCT bits plus allocations
+     * never exceed IMCT qualifications; every windowed counter
+     * consistent. O(rows + IMCT slots); aborts on violation.
      */
     void checkInvariants() const override;
 
@@ -211,43 +215,71 @@ class AdaptiveSievePolicy : public AllocationPolicy
      * their sum. */
     struct BankBytes
     {
-        /** Block -> row FlatIndex. */
+        /** Page -> row FlatIndex. */
         uint64_t index = 0;
-        /** Row pages and the page table; the free list threads
+        /** Row chunks and the chunk table; the free list threads
          * through free rows, so it costs nothing beyond them. */
-        uint64_t pages = 0;
+        uint64_t chunks = 0;
         /** Fused shadow IMCT. */
         uint64_t imct = 0;
         /** The candidates' ghost recency lists. */
         uint64_t ghosts = 0;
 
-        uint64_t total() const { return index + pages + imct + ghosts; }
+        uint64_t total() const { return index + chunks + imct + ghosts; }
     };
     BankBytes bankBytes() const;
-    /** Rows in use (blocks some candidate tracks). */
-    size_t shadowRows() const { return rows_by_block_.size(); }
-    /** Rows per arena page. */
-    static constexpr size_t kPageRows = size_t{1} << 12;
+    /** Blocks some candidate tracks (O(rows): audits and benches). */
+    size_t shadowRows() const;
+    /** Pages with a live row (some block some candidate tracks). */
+    size_t shadowPages() const { return rows_by_page_.size(); }
+    /** Block lanes per row: one per block of a 4 KB page. */
+    static constexpr size_t kLanes = trace::kBlocksPerPage;
+    /** Rows per arena chunk. */
+    static constexpr size_t kChunkRows = size_t{1} << 9;
 
   private:
-    /** Every candidate's shadow state for one block. A row is live
-     * while it holds a bit and free (on the free list) once it holds
-     * none. */
-    struct Row
+    /** Candidate i's shadow state for one block. */
+    struct Lane
     {
-        /** The block while the row is live; the next free row while
-         * it is on the free list. */
-        uint64_t block = 0;
         /** Candidate i's ghost recency node (valid under ghost bit i). */
         uint32_t node[kCandidates] = {};
-        /** Bit i: the block is in candidate i's ghost. */
-        uint8_t ghost = 0;
-        /** Bit i: candidate i's MCT tracks the block. A candidate
-         * never holds both bits: allocation leaves the MCT. */
-        uint8_t mct = 0;
         /** Candidate i's MCT counter (valid under MCT bit i). */
         WindowedCounter count[kCandidates];
     };
+
+    /** Every candidate's shadow state for the eight blocks of one
+     * page. A row is live while some lane holds a bit and free (on
+     * the free list) once none does; lanes without bits hold stale
+     * values nothing reads. */
+    struct Row
+    {
+        /** The page (trace::pageStart) while the row is live; the
+         * next free row while it is on the free list. */
+        uint64_t page = 0;
+        /** Bit i of ghost[l]: lane l's block is in candidate i's
+         * ghost. */
+        uint8_t ghost[kLanes] = {};
+        /** Bit i of mct[l]: candidate i's MCT tracks lane l's block.
+         * A candidate never holds a block in both: allocation leaves
+         * the MCT. */
+        uint8_t mct[kLanes] = {};
+        Lane lanes[kLanes];
+
+        /** A lane mask array as one word, lane l in byte l. */
+        static uint64_t
+        word(const uint8_t (&masks)[kLanes])
+        {
+            uint64_t w;
+            std::memcpy(&w, masks, sizeof(w));
+            return w;
+        }
+        /** True while some lane holds a bit. */
+        bool live() const { return (word(ghost) | word(mct)) != 0; }
+    };
+    static_assert(kLanes == sizeof(uint64_t),
+                  "Row::word reads a lane mask array as one word");
+    static_assert(sizeof(Row) == 24 + kLanes * sizeof(Lane),
+                  "a shadow row is a 24-byte header plus its lanes");
 
     /** One shadow setting's thresholds and tallies. */
     struct Candidate
@@ -282,20 +314,21 @@ class AdaptiveSievePolicy : public AllocationPolicy
     Row &
     row(uint32_t r)
     {
-        return pages_[r / kPageRows][r % kPageRows];
+        return chunks_[r / kChunkRows][r % kChunkRows];
     }
     const Row &
     row(uint32_t r) const
     {
-        return pages_[r / kPageRows][r % kPageRows];
+        return chunks_[r / kChunkRows][r % kChunkRows];
     }
-    /** Take a row for `block` (free list first) and index it. */
-    uint32_t addRow(trace::BlockId block);
-    /** Unindex a row and push it on the free list. */
+    /** Take a row for `page` (free list first), index it and memo it. */
+    uint32_t addRow(trace::BlockId page);
+    /** Unindex a row, push it on the free list and, if it is the
+     * memo's row, memo its page as untracked. */
     void freeRow(uint32_t r);
-    /** Candidate i's shadow allocation: most recent in its ghost,
-     * evicting the oldest block first at budget. */
-    void ghostInsert(size_t i, uint32_t r);
+    /** Candidate i's shadow allocation of lane `lane` of row `r`: most
+     * recent in its ghost, evicting the oldest block first at budget. */
+    void ghostInsert(size_t i, uint32_t r, size_t lane);
     /** Clear the MCT bits in `candidates` (a candidate bit mask) that
      * are stale as of each one's prune subwindow, and free the rows
      * left empty except `keep`. */
@@ -310,16 +343,22 @@ class AdaptiveSievePolicy : public AllocationPolicy
     uint64_t switches_ = 0;
     std::vector<std::pair<uint32_t, uint32_t>> history_;
 
-    /** Block -> row. */
-    util::FlatIndex<uint32_t> rows_by_block_;
-    /** Row arena: fixed-size pages, so rows never move. */
-    std::vector<std::unique_ptr<Row[]>> pages_;
+    /** Page -> row. */
+    util::FlatIndex<uint32_t> rows_by_page_;
+    /** Row arena: fixed-size chunks, so rows never move. */
+    std::vector<std::unique_ptr<Row[]>> chunks_;
     /** Rows handed out so far (live or free). */
     uint32_t rows_used_ = 0;
     uint32_t free_row_ = kNoRow;
+    /** The last observed page and its row (kNoRow: untracked), so a
+     * run of same-page accesses probes the index once. kNoPage is no
+     * page start, so it never matches. */
+    static constexpr uint64_t kNoPage = UINT64_MAX;
+    uint64_t memo_page_ = kNoPage;
+    uint32_t memo_row_ = kNoRow;
     std::vector<ImctSlot> imct_;
     /** Ghost recency per candidate (front = most recent); node values
-     * are row indices. */
+     * are row * kLanes + lane. */
     std::array<util::IndexList, kCandidates> ghosts_;
     /** Newest subwindow every candidate had pruned at when the bank
      * last swept. */

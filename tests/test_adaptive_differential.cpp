@@ -14,8 +14,10 @@
  * and 4 shards against a serial replay of the oracle. Streams cover
  * drifting multi-day traffic, tiny ghost budgets, t2 = 0 (clamped up
  * to the bounds), clamped bounds where neighbors coincide, idle days,
- * and timestamps whose subwindow steps backwards — where lazy MCT
- * expiry must still match the oracle's eager prunes.
+ * timestamps whose subwindow steps backwards — where lazy MCT expiry
+ * must still match the oracle's eager prunes — and runs of same-page
+ * blocks from request extents, the path the bank's page rows and page
+ * memo take.
  */
 
 #include <gtest/gtest.h>
@@ -94,6 +96,53 @@ driftingStream(uint64_t seed, size_t n, uint64_t days,
                                     : 100000 + rng.nextBelow(30000);
         a.op = rng.nextBool(0.7) ? trace::Op::Read : trace::Op::Write;
         out.push_back(a);
+    }
+    return out;
+}
+
+/**
+ * Days of request extents expanded to block accesses in block order,
+ * as the appliance hands them to the sieve: 1-24 consecutive blocks at
+ * one timestamp, starting page-aligned or not (so runs straddle 4 KB
+ * pages), on one of two volumes that share block numbers. Half the
+ * extents revisit a fixed, graded set of hot pages every day, the rest
+ * land on a per-day drifting set or a cold tail. Timestamps advance
+ * per extent unless `back_every` is set, in which case every
+ * back_every-th extent steps back up to six subwindows of `sub_us`.
+ */
+std::vector<BlockAccess>
+extentStream(uint64_t seed, size_t n, uint64_t days,
+             uint64_t back_every = 0,
+             util::TimeUs sub_us = kUsPerHour / 4)
+{
+    Rng rng(seed);
+    std::vector<BlockAccess> out;
+    out.reserve(n + 24);
+    const util::TimeUs span = days * kUsPerDay;
+    for (uint64_t e = 0; out.size() < n; ++e) {
+        BlockAccess a;
+        a.time = span * out.size() / n;
+        if (back_every != 0 && e % back_every == back_every - 1) {
+            const util::TimeUs back = (1 + rng.nextBelow(6)) * sub_us;
+            a.time = a.time > back ? a.time - back : 0;
+        }
+        a.completion = a.time + 1000;
+        a.op = rng.nextBool(0.7) ? trace::Op::Read : trace::Op::Write;
+        const uint64_t day = util::dayOf(a.time);
+        const uint64_t kind = rng.nextBelow(10);
+        const uint64_t hot = rng.nextBelow(64);
+        const uint64_t page = kind < 5   ? hot * hot / 64
+                              : kind < 8 ? 1000 + day * 37 + rng.nextBelow(48)
+                                         : 100000 + rng.nextBelow(20000);
+        const uint64_t start =
+            page * trace::kBlocksPerPage +
+            (rng.nextBool(0.5) ? 0 : rng.nextBelow(trace::kBlocksPerPage));
+        const auto volume = static_cast<trace::VolumeId>(rng.nextBelow(2));
+        const uint64_t length = 1 + rng.nextBelow(24);
+        for (uint64_t k = 0; k < length; ++k) {
+            a.block = trace::makeBlockId(volume, start + k);
+            out.push_back(a);
+        }
     }
     return out;
 }
@@ -305,6 +354,41 @@ TEST(AdaptiveDifferential, BackwardStepRestoresNoPrunedEntry)
     // Re-admitted at subwindow 2, (1, 3) allocates block 7 on its
     // third additional miss and captures only the last access.
     EXPECT_EQ(ref.candidateCaptured(4), 1u);
+}
+
+TEST(AdaptiveDifferential, PageRunsMatchTheOracle)
+{
+    // Runs of same-page blocks take the bank's one-probe path. From
+    // (3, 1), candidate (1, 1) tracks a page well before the others
+    // do; at budget 1 its ghost victim is then often another lane of
+    // the row being observed, the row's only other bit, and rows the
+    // page memo points at empty and free in the middle of a run.
+    for (const uint64_t budget :
+         {uint64_t{1}, uint64_t{2}, uint64_t{7}, uint64_t{256}}) {
+        AdaptiveSieveConfig cfg = smallConfig(3, 1);
+        cfg.ghost_budget = budget;
+        replayBoth(cfg, extentStream(70 + budget, 40000, 4),
+                   "page runs, ghost budget " + std::to_string(budget));
+    }
+}
+
+TEST(AdaptiveDifferential, PageRunsInThePaperWindowMatchTheOracle)
+{
+    AdaptiveSieveConfig cfg = smallConfig(4, 2);
+    cfg.base.window = core::WindowSpec::paperDefault();
+    replayBoth(cfg, extentStream(81, 50000, 5), "page runs, paper window");
+}
+
+TEST(AdaptiveDifferential, BackwardPageRunsMatchTheOracle)
+{
+    // A backward step inside a run expires one candidate's bits across
+    // the whole bank while the observed row must stay put.
+    replayBoth(smallConfig(3, 1), extentStream(91, 40000, 4, 7),
+               "backward page runs every 7");
+    AdaptiveSieveConfig tiny = smallConfig(3, 1);
+    tiny.ghost_budget = 1;
+    replayBoth(tiny, extentStream(92, 30000, 3, 3),
+               "backward page runs, ghost budget 1");
 }
 
 // ---- appliance level ----------------------------------------------

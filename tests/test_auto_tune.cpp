@@ -274,8 +274,8 @@ TEST(AdaptiveSieve, IdleEpochsKeepTheIncumbent)
 TEST(AdaptiveSieve, ChargesShadowStructures)
 {
     // The adaptive sieve's metastate is the production tables plus
-    // the whole shadow bank, part by part: the block index, the row
-    // pages, the fused IMCT (one counter per candidate per slot) and
+    // the whole shadow bank, part by part: the page index, the row
+    // chunks, the fused IMCT (one counter per candidate per slot) and
     // the candidates' ghost lists (reserved to budget up front).
     AdaptiveSieveConfig cfg = smallAdaptive(9, 4);
     const SieveStoreCPolicy production(cfg.base);
@@ -288,6 +288,8 @@ TEST(AdaptiveSieve, ChargesShadowStructures)
     EXPECT_EQ(tun->switches, 0u);
 
     constexpr size_t kCands = AdaptiveSievePolicy::kCandidates;
+    constexpr size_t kLanes = AdaptiveSievePolicy::kLanes;
+    constexpr size_t kChunkRows = AdaptiveSievePolicy::kChunkRows;
     sievestore::util::IndexList one_ghost;
     one_ghost.reserve(cfg.ghost_budget);
     const uint64_t imct_bytes =
@@ -296,37 +298,49 @@ TEST(AdaptiveSieve, ChargesShadowStructures)
 
     const auto empty = policy.bankBytes();
     EXPECT_EQ(empty.index, 0u);
-    EXPECT_EQ(empty.pages, 0u);
+    EXPECT_EQ(empty.chunks, 0u);
     EXPECT_EQ(empty.imct, imct_bytes);
     EXPECT_EQ(empty.ghosts, ghost_bytes);
     EXPECT_EQ(policy.metastateBytes(),
               production.metastateBytes() + imct_bytes + ghost_bytes);
+    EXPECT_EQ(policy.shadowRows(), 0u);
+    EXPECT_EQ(policy.shadowPages(), 0u);
 
-    // Loose thresholds over many distinct blocks fill rows: the index
-    // is charged at its power-of-two slot count (a 4-byte row payload
-    // beside each 8-byte key, plus the dib byte), and the pages at
-    // whole pages of rows, each row holding at least the block, five
-    // ghost nodes and five windowed counters.
+    // Loose thresholds over many distinct blocks fill one row per
+    // 4 KB page: t1 = 1 puts every block in four candidates' MCTs on
+    // its first miss, and nothing misses twice, so no row is freed.
+    // The index is charged at its power-of-two slot count (a 4-byte
+    // row payload beside each 8-byte page key, plus the dib byte) and
+    // holds at most 7/8 of it; the rows are charged in whole chunks,
+    // each row a 24-byte header (page key, ghost and MCT lane masks)
+    // plus, per lane, five ghost nodes and five windowed counters,
+    // and the chunk table adds less than one more chunk.
     AdaptiveSievePolicy loose(smallAdaptive(1, 1));
-    for (BlockId b = 0; b < 3 * AdaptiveSievePolicy::kPageRows; ++b)
+    const size_t blocks = 3 * kChunkRows * kLanes;
+    for (BlockId b = 0; b < blocks; ++b)
         loose.onMiss(missAt(b, makeTime(0, 1)));
-    const size_t rows = loose.shadowRows();
-    ASSERT_GT(rows, AdaptiveSievePolicy::kPageRows);
+    const size_t pages = loose.shadowPages();
+    EXPECT_EQ(loose.shadowRows(), blocks);
+    EXPECT_EQ(pages, blocks / kLanes);
+    ASSERT_GT(pages, kChunkRows);
     const auto full = loose.bankBytes();
     const uint64_t slots = full.index / (16 + 1);
     EXPECT_EQ(full.index % (16 + 1), 0u);
     EXPECT_EQ(slots & (slots - 1), 0u) << "slot count is a power of two";
-    EXPECT_GE(slots * 7, rows * 8) << "load factor at most 7/8";
-    const uint64_t pages = (rows + AdaptiveSievePolicy::kPageRows - 1) /
-                           AdaptiveSievePolicy::kPageRows;
-    EXPECT_GE(full.pages,
-              pages * AdaptiveSievePolicy::kPageRows *
-                  (8 + kCands * (4 + sizeof(WindowedCounter))));
+    EXPECT_GE(slots * 7, pages * 8) << "load factor at most 7/8";
+    const uint64_t row_bytes =
+        24 + kLanes * kCands * (4 + sizeof(WindowedCounter));
+    const uint64_t chunk_bytes = kChunkRows * row_bytes;
+    const uint64_t chunks = (pages + kChunkRows - 1) / kChunkRows;
+    ASSERT_GE(full.chunks, chunks * chunk_bytes);
+    const uint64_t table = full.chunks - chunks * chunk_bytes;
+    EXPECT_GE(table, chunks * sizeof(void *));
+    EXPECT_LT(table, chunk_bytes) << "rows are charged in whole chunks";
     EXPECT_EQ(full.imct, imct_bytes);
     EXPECT_EQ(full.ghosts, ghost_bytes);
     EXPECT_EQ(loose.metastateBytes(),
               loose.production().metastateBytes() + full.index +
-                  full.pages + full.imct + full.ghosts);
+                  full.chunks + full.imct + full.ghosts);
     loose.checkInvariants();
 }
 
