@@ -90,28 +90,15 @@ BM_SieveStoreCOnMiss(benchmark::State &state)
 BENCHMARK(BM_SieveStoreCOnMiss);
 
 /**
- * Both cache engines under one harness: engine 0 is the flat
- * block-index engine, engine 1 the node-based Reference* policies it
- * replaced. The flat-hot-path acceptance bar (resident-hit throughput
- * and per-resident-block bytes) reads straight off these counters.
+ * The cache rows below time the flat block-index engine, one row per
+ * eviction kind, and report bytes per resident block. Their
+ * `flat/<kind>` labels match the scaling rows' (which
+ * `bench_compare.py --scaling` reads) and the committed baselines.
  */
-cache::BlockCache
-makeEngineCache(uint64_t capacity, int64_t engine,
-                cache::EvictionKind kind)
-{
-    if (engine == 0)
-        return cache::BlockCache(capacity,
-                                 cache::EvictionSpec{kind, 1});
-    return cache::BlockCache(
-        capacity, cache::makeReferencePolicy({kind, 1}, capacity));
-}
-
 void
-setEngineLabel(benchmark::State &state, const cache::BlockCache &cache)
+setCacheLabel(benchmark::State &state, const cache::BlockCache &cache)
 {
-    state.SetLabel(std::string(state.range(0) == 0 ? "flat/"
-                                                   : "reference/") +
-                   cache.policyName());
+    state.SetLabel(std::string("flat/") + cache.policyName());
     state.counters["bytes_per_block"] = benchmark::Counter(
         static_cast<double>(cache.memoryBytes()) /
         static_cast<double>(std::max<uint64_t>(1, cache.size())));
@@ -120,25 +107,23 @@ setEngineLabel(benchmark::State &state, const cache::BlockCache &cache)
 void
 BM_BlockCacheAccessHit(benchmark::State &state)
 {
-    const auto kind = static_cast<cache::EvictionKind>(state.range(1));
-    auto cache = makeEngineCache(1 << 16, state.range(0), kind);
+    const auto kind = static_cast<cache::EvictionKind>(state.range(0));
+    cache::BlockCache cache(1 << 16, cache::EvictionSpec{kind, 1});
     for (trace::BlockId b = 0; b < (1 << 16); ++b)
         cache.insert(b);
     util::Rng rng(4);
     for (auto _ : state)
         benchmark::DoNotOptimize(cache.access(rng.nextBelow(1 << 16)));
     state.SetItemsProcessed(state.iterations());
-    setEngineLabel(state, cache);
+    setCacheLabel(state, cache);
 }
-BENCHMARK(BM_BlockCacheAccessHit)
-    ->ArgNames({"engine", "kind"})
-    ->ArgsProduct({{0, 1}, {0, 1, 2, 3, 4, 5, 6, 7}});
+BENCHMARK(BM_BlockCacheAccessHit)->ArgName("kind")->DenseRange(0, 7);
 
 void
 BM_BlockCacheInsertEvict(benchmark::State &state)
 {
-    const auto kind = static_cast<cache::EvictionKind>(state.range(1));
-    auto cache = makeEngineCache(1 << 14, state.range(0), kind);
+    const auto kind = static_cast<cache::EvictionKind>(state.range(0));
+    cache::BlockCache cache(1 << 14, cache::EvictionSpec{kind, 1});
     util::Rng rng(5);
     trace::BlockId next = 0;
     for (auto _ : state) {
@@ -147,19 +132,17 @@ BM_BlockCacheInsertEvict(benchmark::State &state)
         ++next;
     }
     state.SetItemsProcessed(state.iterations());
-    setEngineLabel(state, cache);
+    setCacheLabel(state, cache);
 }
-BENCHMARK(BM_BlockCacheInsertEvict)
-    ->ArgNames({"engine", "kind"})
-    ->ArgsProduct({{0, 1}, {0, 1, 2, 3, 4, 5, 6, 7}});
+BENCHMARK(BM_BlockCacheInsertEvict)->ArgName("kind")->DenseRange(0, 7);
 
 void
 BM_BlockCacheMixedHotCold(benchmark::State &state)
 {
     // The appliance's actual access mix: mostly hits in a hot set,
     // with a cold tail forcing insert+evict churn.
-    const auto kind = static_cast<cache::EvictionKind>(state.range(1));
-    auto cache = makeEngineCache(1 << 14, state.range(0), kind);
+    const auto kind = static_cast<cache::EvictionKind>(state.range(0));
+    cache::BlockCache cache(1 << 14, cache::EvictionSpec{kind, 1});
     util::Rng rng(6);
     for (auto _ : state) {
         const trace::BlockId b = rng.nextBool(0.9)
@@ -169,11 +152,9 @@ BM_BlockCacheMixedHotCold(benchmark::State &state)
             cache.insert(b);
     }
     state.SetItemsProcessed(state.iterations());
-    setEngineLabel(state, cache);
+    setCacheLabel(state, cache);
 }
-BENCHMARK(BM_BlockCacheMixedHotCold)
-    ->ArgNames({"engine", "kind"})
-    ->ArgsProduct({{0, 1}, {0, 1, 2, 3, 4, 5, 6, 7}});
+BENCHMARK(BM_BlockCacheMixedHotCold)->ArgName("kind")->DenseRange(0, 7);
 
 /**
  * Capacity scaling: MixedHotCold's 90/10 mix (hits on a hot half of

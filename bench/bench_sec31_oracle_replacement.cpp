@@ -19,9 +19,7 @@
 
 #include "bench_common.hpp"
 #include "cache/replacement.hpp"
-#include "core/rand_sieve.hpp"
-#include "core/sievestore_c.hpp"
-#include "core/unsieved.hpp"
+#include "core/sieve_spec.hpp"
 #include "stats/table.hpp"
 
 using namespace sievestore;
@@ -29,17 +27,14 @@ using namespace sievestore::bench;
 
 namespace {
 
-/** Build the continuous policy under test. */
-std::unique_ptr<core::AllocationPolicy>
-makePolicy(const std::string &name, const BenchOptions &opts)
+/** The continuous sieve under test. */
+core::SievePolicySpec
+sieveSpec(core::SieveKind kind, const BenchOptions &opts)
 {
-    if (name == "AOD")
-        return std::make_unique<core::AodPolicy>();
-    if (name == "WMNA")
-        return std::make_unique<core::WmnaPolicy>();
-    core::SieveStoreCConfig cfg;
-    cfg.imct_slots = opts.scaledImctSlots();
-    return std::make_unique<core::SieveStoreCPolicy>(cfg);
+    core::SievePolicySpec spec;
+    spec.kind = kind;
+    spec.sieve_c.imct_slots = opts.scaledImctSlots();
+    return spec;
 }
 
 } // namespace
@@ -62,7 +57,10 @@ main(int argc, char **argv)
     stats::Table t({"Allocation policy", "Replacement", "Hits",
                     "Alloc-writes", "SSD write blocks",
                     "writes/hit-blocks"});
-    for (const char *policy_name : {"AOD", "WMNA", "SieveStore-C"}) {
+    for (const core::SieveKind kind :
+         {core::SieveKind::Aod, core::SieveKind::Wmna,
+          core::SieveKind::SieveStoreC}) {
+        const char *policy_name = core::sieveKindName(kind);
         for (const bool oracle : {true, false}) {
             std::fprintf(stderr, "  running %s + %s...\n", policy_name,
                          oracle ? "oracle" : "LRU");
@@ -70,6 +68,7 @@ main(int argc, char **argv)
             ac.cache_blocks = opts.scaledCacheBlocks(32ULL << 30);
             ac.ssd = opts.scaledSsd(32ULL << 30);
             ac.track_occupancy = false;
+            ac.sieve = sieveSpec(kind, opts);
             cache::OracleRetainPolicy *retain = nullptr;
             if (oracle) {
                 ac.replacement = [&retain]() {
@@ -79,7 +78,7 @@ main(int argc, char **argv)
                     return p;
                 };
             }
-            core::Appliance app(ac, makePolicy(policy_name, opts));
+            core::Appliance app(ac);
 
             // Drive day by day so the oracle's protected set tracks
             // the day being replayed.

@@ -105,14 +105,20 @@ main(int argc, char **argv)
         core::AutoTuneConfig tune;
         tune.churn_budget = budget;
         tune.cache_blocks = opts.scaledCacheBlocks(16ULL << 30);
-        auto policy = std::make_unique<core::AutoTunedSievePolicy>(
-            sieve, tune);
-        const auto *policy_view = policy.get();
-
+        // No spec names the churn-budget tuner, so it runs in the
+        // sieve's custom mode; the factory keeps a view for the
+        // trajectory columns.
+        const core::AutoTunedSievePolicy *policy_view = nullptr;
         core::ApplianceConfig ac;
         ac.cache_blocks = opts.scaledCacheBlocks(16ULL << 30);
         ac.ssd = opts.scaledSsd(16ULL << 30);
-        core::Appliance app(ac, std::move(policy));
+        ac.allocation = [&] {
+            auto policy =
+                std::make_unique<core::AutoTunedSievePolicy>(sieve, tune);
+            policy_view = policy.get();
+            return policy;
+        };
+        core::Appliance app(ac);
         gen.reset();
         sim::runTrace(gen, app);
 

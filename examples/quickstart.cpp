@@ -13,7 +13,6 @@
 #include <cstdio>
 
 #include "core/appliance.hpp"
-#include "core/sievestore_c.hpp"
 #include "sim/driver.hpp"
 #include "trace/synthetic.hpp"
 
@@ -43,10 +42,11 @@ main()
     config.ssd =
         ssd::SsdModel::intelX25E(16ULL << 30).scaled(workload.scale);
 
-    core::SieveStoreCConfig sieve; // paper defaults
-    sieve.imct_slots = 1 << 17;    // scale the metastate with the trace
-    core::Appliance appliance(
-        config, std::make_unique<core::SieveStoreCPolicy>(sieve));
+    // The sieve is a plain-data spec: SieveStore-C keeps the paper's
+    // defaults, and its IMCT is scaled with the trace.
+    config.sieve.kind = core::SieveKind::SieveStoreC;
+    config.sieve.sieve_c.imct_slots = 1 << 17;
+    core::Appliance appliance(config);
 
     // 4. Replay the trace. runTrace() feeds requests in time order and
     //    fires the calendar-day boundaries.

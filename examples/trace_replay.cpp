@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "core/appliance.hpp"
-#include "core/sievestore_c.hpp"
 #include "sim/driver.hpp"
 #include "trace/merge.hpp"
 #include "trace/msr_csv.hpp"
@@ -106,10 +105,9 @@ main(int argc, char **argv)
     core::ApplianceConfig config;
     config.cache_blocks = (16ULL << 30) / 32768 / trace::kBlockBytes;
     config.ssd = ssd::SsdModel::intelX25E().scaled(1.0 / 32768.0);
-    core::SieveStoreCConfig sieve;
-    sieve.imct_slots = 1 << 15;
-    core::Appliance appliance(
-        config, std::make_unique<core::SieveStoreCPolicy>(sieve));
+    config.sieve.kind = core::SieveKind::SieveStoreC;
+    config.sieve.sieve_c.imct_slots = 1 << 15;
+    core::Appliance appliance(config);
 
     sim::runTrace(merged, appliance);
 

@@ -20,11 +20,15 @@ A regression is a slowdown beyond ``--tolerance`` (default 0.50: CI
 and developer machines are noisy — back-to-back idle runs of the
 replay bench vary by up to ~35% on shared hosts — so the baselines
 exist to catch step-change regressions, not single-digit drift).
-Speedups never fail. Benchmarks present only in the fresh run are
+Speedups never fail. A baseline row the fresh run lacks fails in both
+formats: a renamed or dropped benchmark, or a run filter that no
+longer produces the row, would otherwise leave the row ungated
+without anyone noticing. Benchmarks present only in the fresh run are
 warn-and-skip, never failures, and ``--allow-missing-baseline``
 extends that to a baseline file that does not exist yet — both so a
 new bench can land before its quiet-host baseline does. Exit status:
-0 clean, 1 regression or determinism break, 2 usage/parse error.
+0 clean, 1 regression, missing row or determinism break, 2
+usage/parse error.
 
 ``--scaling FILE`` checks one gbench run instead of diffing two: it
 reads the ``BM_BlockCacheScaling`` rows and, per eviction kind, the
@@ -34,6 +38,9 @@ so each ratio is divided by LRU's from the same file; a kind whose
 ratio exceeds ``SCALING_LIMIT`` (4x) times LRU's fails, which catches
 per-op work that grows with the cache (an O(capacity) victim scan
 grows about 256x over that range). Exit status as above.
+
+``--self-test`` runs every mode over the small fixture files in
+``scripts/bench_compare_fixtures/`` and checks each exit status.
 
 Typical use:
 
@@ -59,9 +66,15 @@ gate on host noise alone); regenerate it the same way.
 """
 
 import argparse
+import contextlib
+import io
 import json
+import os
 import re
 import sys
+
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "bench_compare_fixtures")
 
 
 def loadJsonStream(path):
@@ -114,7 +127,8 @@ def compareGbench(base_doc, fresh_doc, tolerance):
     failures = []
     for name in sorted(base):
         if name not in fresh:
-            print(f"  MISSING {name} (in baseline, not in fresh run)")
+            print(f"  {name}: in baseline, not in fresh run  << MISSING")
+            failures.append(f"{name} missing")
             continue
         b, f = base[name], fresh[name]
         ratio = f / b if b > 0 else float("inf")
@@ -215,7 +229,9 @@ def compareReplay(base_docs, fresh_docs, tolerance):
               f"(no baseline entry; skipped)")
     for key in sorted(base, key=str):
         if key not in fresh:
-            print(f"  MISSING row {key[1]}={key[2]}")
+            print(f"  {key[1]}={key[2]}: in baseline, not in fresh "
+                  f"run  << MISSING")
+            failures.append(f"{key[1]}={key[2]} missing")
             continue
         brow, frow = base[key], fresh[key]
         label = f"{key[1]}={key[2]}"
@@ -261,6 +277,90 @@ def mainScaling(path):
     return 0
 
 
+def compareFiles(baseline, fresh, tolerance=0.50, fmt="auto",
+                 allow_missing_baseline=False):
+    """Diff one fresh run against one baseline; returns the exit
+    status."""
+    try:
+        base_docs = loadJsonStream(baseline)
+    except OSError as e:
+        if allow_missing_baseline:
+            print(f"bench-compare: WARNING: baseline "
+                  f"{baseline} unreadable ({e}); skipping "
+                  f"comparison — commit a quiet-host baseline to "
+                  f"arm the gate")
+            return 0
+        print(f"bench-compare: {e}", file=sys.stderr)
+        return 2
+    except ValueError as e:
+        print(f"bench-compare: {e}", file=sys.stderr)
+        return 2
+
+    try:
+        fresh_docs = loadJsonStream(fresh)
+    except (OSError, ValueError) as e:
+        print(f"bench-compare: {e}", file=sys.stderr)
+        return 2
+
+    if fmt == "auto":
+        fmt = detectFormat(base_docs)
+        if fmt is None or fmt != detectFormat(fresh_docs):
+            print("bench-compare: cannot detect a common format; "
+                  "pass --format", file=sys.stderr)
+            return 2
+
+    print(f"bench-compare: {baseline} vs {fresh} "
+          f"[{fmt}, tolerance {tolerance:.0%}]")
+    if fmt == "gbench":
+        failures = compareGbench(base_docs[0], fresh_docs[0], tolerance)
+    else:
+        failures = compareReplay(base_docs, fresh_docs, tolerance)
+    if failures:
+        print(f"bench-compare: FAILED ({len(failures)} regression(s) "
+              f"or missing row(s))")
+        return 1
+    print("bench-compare: OK")
+    return 0
+
+
+# (mode, file arguments, expected exit status). Each fixture differs
+# from its baseline in one way, named by the file.
+SELF_TEST_CASES = (
+    ("compare", ("gbench_base.json", "gbench_fresh_ok.json"), 0),
+    ("compare", ("gbench_base.json", "gbench_fresh_missing.json"), 1),
+    ("compare", ("gbench_base.json", "gbench_fresh_slow.json"), 1),
+    ("compare", ("replay_base.json", "replay_fresh_ok.json"), 0),
+    ("compare", ("replay_base.json", "replay_fresh_missing.json"), 1),
+    ("compare", ("replay_base.json", "replay_fresh_diverged.json"), 1),
+    ("compare", ("gbench_base.json", "replay_fresh_ok.json"), 2),
+    ("scaling", ("scaling_ok.json",), 0),
+    ("scaling", ("scaling_superlinear.json",), 1),
+    ("scaling", ("scaling_missing.json",), 1),
+)
+
+
+def selfTest():
+    failed = 0
+    for mode, files, want in SELF_TEST_CASES:
+        paths = [os.path.join(FIXTURES, f) for f in files]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(out):
+            got = (compareFiles(*paths) if mode == "compare"
+                   else mainScaling(paths[0]))
+        if got != want:
+            failed += 1
+            print(f"bench-compare self-test: {mode} {' '.join(files)} "
+                  f"exited {got}, expected {want}", file=sys.stderr)
+            print(out.getvalue(), file=sys.stderr)
+    if failed:
+        print(f"bench-compare self-test FAILED ({failed} of "
+              f"{len(SELF_TEST_CASES)} cases)", file=sys.stderr)
+        return 1
+    print(f"bench-compare self-test OK ({len(SELF_TEST_CASES)} cases)")
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(
         description="diff a fresh benchmark run against a baseline")
@@ -269,6 +369,9 @@ def main():
     parser.add_argument("--scaling", metavar="FILE",
                         help="check one gbench run's BM_BlockCacheScaling "
                              "rows instead of diffing two runs")
+    parser.add_argument("--self-test", action="store_true",
+                        help="run every mode over the fixture files in "
+                             "scripts/bench_compare_fixtures/")
     parser.add_argument("--tolerance", type=float, default=0.50,
                         help="allowed fractional slowdown "
                              "(default 0.50)")
@@ -282,55 +385,18 @@ def main():
                              "before their quiet-host baseline does)")
     opts = parser.parse_args()
 
+    if opts.self_test:
+        if opts.baseline or opts.fresh or opts.scaling:
+            parser.error("--self-test takes no other mode")
+        return selfTest()
     if opts.scaling:
         if opts.baseline or opts.fresh:
             parser.error("--scaling takes no --baseline/--fresh")
         return mainScaling(opts.scaling)
     if not (opts.baseline and opts.fresh):
         parser.error("--baseline and --fresh are required")
-
-    try:
-        base_docs = loadJsonStream(opts.baseline)
-    except OSError as e:
-        if opts.allow_missing_baseline:
-            print(f"bench-compare: WARNING: baseline "
-                  f"{opts.baseline} unreadable ({e}); skipping "
-                  f"comparison — commit a quiet-host baseline to "
-                  f"arm the gate")
-            return 0
-        print(f"bench-compare: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
-        print(f"bench-compare: {e}", file=sys.stderr)
-        return 2
-
-    try:
-        fresh_docs = loadJsonStream(opts.fresh)
-    except (OSError, ValueError) as e:
-        print(f"bench-compare: {e}", file=sys.stderr)
-        return 2
-
-    fmt = opts.format
-    if fmt == "auto":
-        fmt = detectFormat(base_docs)
-        if fmt is None or fmt != detectFormat(fresh_docs):
-            print("bench-compare: cannot detect a common format; "
-                  "pass --format", file=sys.stderr)
-            return 2
-
-    print(f"bench-compare: {opts.baseline} vs {opts.fresh} "
-          f"[{fmt}, tolerance {opts.tolerance:.0%}]")
-    if fmt == "gbench":
-        failures = compareGbench(base_docs[0], fresh_docs[0],
-                                 opts.tolerance)
-    else:
-        failures = compareReplay(base_docs, fresh_docs,
-                                 opts.tolerance)
-    if failures:
-        print(f"bench-compare: FAILED ({len(failures)} regression(s))")
-        return 1
-    print("bench-compare: OK")
-    return 0
+    return compareFiles(opts.baseline, opts.fresh, opts.tolerance,
+                        opts.format, opts.allow_missing_baseline)
 
 
 if __name__ == "__main__":

@@ -41,6 +41,8 @@ BlockCache::BlockCache(uint64_t capacity,
     : capacity_blocks(capacity), custom(std::move(policy)),
       rng(spec.seed)
 {
+    if (!custom)
+        util::fatal("custom cache requires a replacement policy");
     checkCapacity(capacity_blocks);
     initFlatEngine();
 }

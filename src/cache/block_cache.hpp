@@ -18,14 +18,14 @@
  * The table is pre-sized for `capacity_blocks` at construction, so
  * steady-state replay never rehashes.
  *
- * Two engines share the index:
+ * Two modes share the index:
  *  - flat (default): EvictionSpec selects a built-in policy whose
  *    transitions are inlined switch dispatch — no virtual calls;
- *  - custom: a virtual ReplacementPolicy (OracleRetain, or the
- *    Reference* seed implementations the differential suite runs as
- *    oracles) runs beside the index, which then only tracks
- *    residency. Every entry point, the batched probe paths included,
- *    serves both engines.
+ *  - custom: a virtual ReplacementPolicy (the Section 3.1
+ *    OracleRetain, or a test oracle in tests/oracle/ that the
+ *    differential suite runs against the flat kinds) runs beside the
+ *    index, which then only tracks residency. Every entry point, the
+ *    batched probe paths included, serves both modes.
  */
 
 #ifndef SIEVESTORE_CACHE_BLOCK_CACHE_HPP
@@ -36,8 +36,10 @@
 #include <span>
 #include <vector>
 
+#include "cache/ghost_cache.hpp"
 #include "cache/replacement.hpp"
 #include "trace/block.hpp"
+#include "util/count_min.hpp"
 #include "util/flat_index.hpp"
 #include "util/flow_annotations.hpp"
 #include "util/random.hpp"
@@ -109,9 +111,9 @@ class BlockCache
     explicit BlockCache(uint64_t capacity_blocks, EvictionSpec spec = {});
 
     /**
-     * Custom-engine cache driving a virtual policy (OracleRetain or a
-     * Reference* seed implementation). A null policy falls back to
-     * the flat default (LRU), preserving the seed signature.
+     * Custom-mode cache driving a virtual policy (OracleRetain or a
+     * test oracle). A null policy is a configuration error
+     * (util::fatal).
      */
     BlockCache(uint64_t capacity_blocks,
                std::unique_ptr<ReplacementPolicy> policy);
@@ -229,7 +231,7 @@ class BlockCache
   private:
     using BlockIndex = util::FlatIndex<PolicyState>;
 
-    /** Resident-hit transition for either engine (access, touchBatch
+    /** Resident-hit transition for either mode (access, touchBatch
      * and touchProbed share it). */
     void touchResident(trace::BlockId block, PolicyState &st);
 
@@ -239,8 +241,7 @@ class BlockCache
     void policyErase(trace::BlockId block, const PolicyState &st);
     trace::BlockId policyVictim(trace::BlockId incoming);
 
-    /** ARC ghost-hit adaptation + landing-side decision (the flat
-     * twin of ReferenceArcPolicy::adapt). */
+    /** ARC ghost-hit adaptation + landing-side decision. */
     void arcAdapt(trace::BlockId incoming);
 
     /** Reserve the index and engage the active kind's fabric state
@@ -276,7 +277,7 @@ class BlockCache
 
     uint64_t capacity_blocks;
     EvictionSpec spec;
-    /** Non-null selects the custom engine. */
+    /** Non-null selects custom mode. */
     std::unique_ptr<ReplacementPolicy> custom;
 
     /** Residency + per-block policy state, one slot per block. */

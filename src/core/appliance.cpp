@@ -87,14 +87,6 @@ Appliance::Appliance(ApplianceConfig config)
 }
 
 Appliance::Appliance(ApplianceConfig config,
-                     std::unique_ptr<AllocationPolicy> policy)
-    : cfg(std::move(config)), cache_(makeCache(cfg))
-{
-    sieve_.emplace(std::move(policy));
-    initOccupancy();
-}
-
-Appliance::Appliance(ApplianceConfig config,
                      std::unique_ptr<DiscreteSelector> selector)
     : cfg(std::move(config)), selector_(std::move(selector)),
       cache_(makeCache(cfg))

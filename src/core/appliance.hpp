@@ -19,6 +19,12 @@
  *    are excluded from drive-occupancy by default ("SieveStore-D
  *    assumes that batch allocation can be done during periods of low
  *    disk activity").
+ *
+ * ApplianceConfig is the one way in: it selects the cache (`eviction`
+ * for the flat engine, or a `replacement` factory such as Section
+ * 3.1's OracleRetain) and the continuous sieve (a `sieve` spec for
+ * FlatSieve, or an `allocation` factory for a policy no spec names).
+ * A discrete appliance adds its DiscreteSelector.
  */
 
 #ifndef SIEVESTORE_CORE_APPLIANCE_HPP
@@ -63,22 +69,24 @@ struct ApplianceConfig
     /**
      * Custom replacement-policy factory; null selects the flat engine
      * with `eviction`. Used by the Section 3.1 oracle-replacement
-     * experiments (OracleRetain needs per-day protected-set state).
+     * experiments (OracleRetain needs per-day protected-set state)
+     * and by the differential suite's test oracles. A factory that
+     * returns null is a configuration error (util::fatal).
      */
     std::function<std::unique_ptr<cache::ReplacementPolicy>()>
         replacement;
     /**
-     * Built-in continuous sieve for the spec-driven constructor
-     * (defaults to AOD), run by the switch-dispatch FlatSieve engine.
-     * Ignored when `allocation` is set or when a policy/selector is
-     * passed explicitly.
+     * Built-in continuous sieve (defaults to AOD), run by the
+     * switch-dispatch FlatSieve engine. Ignored when `allocation` is
+     * set or when a discrete selector is passed.
      */
     SievePolicySpec sieve;
     /**
      * Custom allocation-policy factory; null selects `sieve` above.
-     * Mirrors `replacement`: the flat-vs-reference differential suite
-     * uses it to run the virtual reference policy in FlatSieve's
-     * custom mode.
+     * Mirrors `replacement`: it runs a policy no spec names
+     * (AutoTunedSievePolicy) or a test oracle in FlatSieve's custom
+     * mode. A factory that returns null is a configuration error
+     * (util::fatal).
      */
     std::function<std::unique_ptr<AllocationPolicy>()> allocation;
     /**
@@ -180,10 +188,10 @@ DailyReport sumReports(const std::vector<DailyReport> &days);
 inline bool batchKernelEnabled() { return true; }
 
 /**
- * The appliance simulator. Construct with either a continuous
- * AllocationPolicy (SieveStore-C, AOD, WMNA, RandSieve-C) or a
- * DiscreteSelector (SieveStore-D, RandSieve-BlkD, Ideal); drive it with
- * time-ordered requests and day-boundary callbacks (the sim::
+ * The appliance simulator. Construct it continuous, from the config
+ * alone (a SievePolicySpec, or an `allocation` factory), or discrete,
+ * with a DiscreteSelector (SieveStore-D, RandSieve-BlkD, Ideal); drive
+ * it with time-ordered requests and day-boundary callbacks (the sim::
  * drivers do this).
  */
 class Appliance
@@ -196,11 +204,6 @@ class Appliance
      * policy state held by value.
      */
     explicit Appliance(ApplianceConfig config);
-
-    /** Continuous-allocation appliance with an explicit policy (run in
-     * FlatSieve's custom mode). */
-    Appliance(ApplianceConfig config,
-              std::unique_ptr<AllocationPolicy> policy);
 
     /** Discrete-allocation appliance. */
     Appliance(ApplianceConfig config,

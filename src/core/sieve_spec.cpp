@@ -1,7 +1,5 @@
 #include "core/sieve_spec.hpp"
 
-#include "core/unsieved.hpp"
-
 namespace sievestore {
 namespace core {
 
@@ -48,26 +46,6 @@ sieveKindName(SieveKind kind)
     }
     util::fatal("sieveKindName: unknown sieve kind %d",
                 static_cast<int>(kind));
-}
-
-std::unique_ptr<AllocationPolicy>
-makeReferenceSievePolicy(const SievePolicySpec &spec)
-{
-    switch (spec.kind) {
-      case SieveKind::Aod:
-        return std::make_unique<AodPolicy>();
-      case SieveKind::Wmna:
-        return std::make_unique<WmnaPolicy>();
-      case SieveKind::SieveStoreC:
-        return std::make_unique<SieveStoreCPolicy>(spec.sieve_c);
-      case SieveKind::RandSieveC:
-        return std::make_unique<RandSieveCPolicy>(spec.rand_probability,
-                                                  spec.rand_seed);
-      case SieveKind::Adaptive:
-        return std::make_unique<AdaptiveSievePolicy>(spec.adaptive);
-    }
-    util::fatal("makeReferenceSievePolicy: unknown sieve kind %d",
-                static_cast<int>(spec.kind));
 }
 
 FlatSieve::FlatSieve(const SievePolicySpec &spec)

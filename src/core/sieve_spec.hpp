@@ -21,10 +21,11 @@
  * Like cache::BlockCache, FlatSieve has a custom mode: constructed
  * from an AllocationPolicy, it forwards every call to that virtual
  * policy. The appliance therefore holds one sieve whatever drives it.
- * Custom mode carries the reference oracles (makeReferenceSievePolicy,
+ * Custom mode runs a policy no spec names (AutoTunedSievePolicy,
  * requested through ApplianceConfig::allocation exactly like
- * `replacement`), and the differential suite proves the two modes
- * bit-identical per day and per field.
+ * `replacement`) and the test oracles in tests/oracle/, against
+ * which the differential suite proves the spec kinds bit-identical
+ * per day and per field.
  */
 
 #ifndef SIEVESTORE_CORE_SIEVE_SPEC_HPP
@@ -71,8 +72,8 @@ static_assert(static_cast<size_t>(SieveKind::Adaptive) + 1 ==
               "SieveKind grew: bump kSieveKindCount and wire the new "
               "kind through every dispatch switch (FlatSieve onMiss / "
               "onHit / prefetchMiss / onDayClose / name / "
-              "metastateBytes / checkInvariants, "
-              "makeReferenceSievePolicy, sieveKindName)");
+              "metastateBytes / checkInvariants, sieveKindName) "
+              "and the test oracle's factory in tests/oracle/");
 
 /** Policy name as used in reports ("AOD", "SieveStore-C", ...). */
 const char *sieveKindName(SieveKind kind);
@@ -96,14 +97,6 @@ struct SievePolicySpec
 };
 
 /**
- * The virtual-engine counterpart of a spec: the seed AllocationPolicy
- * implementation making identical decisions. The flat-vs-reference
- * differential tests run it through FlatSieve's custom mode.
- */
-std::unique_ptr<AllocationPolicy>
-makeReferenceSievePolicy(const SievePolicySpec &spec);
-
-/**
  * Switch-dispatch executor for a SievePolicySpec. All policy state
  * lives inline (by value), so a sieve consultation is a predictable
  * branch plus a direct call — no vtable load, no pointer chase — and
@@ -117,11 +110,11 @@ class FlatSieve
     explicit FlatSieve(const SievePolicySpec &spec);
 
     /**
-     * Custom-mode sieve driving a virtual policy (a reference oracle or
-     * a caller-supplied AllocationPolicy). The spec side stays at the
-     * default AOD kind, so the kind-gated hooks (prefetchMiss) are
-     * no-ops without a custom test of their own. A null policy is a
-     * configuration error (util::fatal).
+     * Custom-mode sieve driving a caller-supplied virtual policy (an
+     * AllocationPolicy no spec names, or a test oracle). The spec
+     * side stays at the default AOD kind, so the kind-gated hooks
+     * (prefetchMiss) are no-ops without a custom test of their own.
+     * A null policy is a configuration error (util::fatal).
      */
     explicit FlatSieve(std::unique_ptr<AllocationPolicy> policy);
 

@@ -19,6 +19,7 @@
 #include "core/imct.hpp"
 #include "core/mct.hpp"
 #include "core/windowed_counter.hpp"
+#include "oracle/reference_replacement.hpp"
 #include "util/alloc_guard.hpp"
 #include "util/spsc_queue.hpp"
 
@@ -153,7 +154,7 @@ TEST(AllocGuard, ReferencePolicyCacheOpsPassThrough)
     // BlockCache's internal regions are conditioned on the flat
     // engine, so custom-policy caches must run unguarded.
     BlockCache cache(
-        32, sievestore::cache::makeReferencePolicy(EvictionSpec{}, 32));
+        32, sievestore::oracle::makeReferencePolicy(EvictionSpec{}, 32));
     for (uint64_t b = 0; b < 200; ++b)
         cache.insert(b);
     EXPECT_EQ(cache.size(), 32u);

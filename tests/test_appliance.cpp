@@ -7,13 +7,14 @@
 #include <gtest/gtest.h>
 
 #include "core/appliance.hpp"
-#include "core/unsieved.hpp"
+#include "util/logging.hpp"
 #include "util/sim_time.hpp"
 
 namespace {
 
 using namespace sievestore::core;
 using namespace sievestore::trace;
+using sievestore::util::FatalError;
 using sievestore::util::makeTime;
 
 Request
@@ -32,17 +33,18 @@ makeRequest(uint64_t time, uint64_t offset, uint32_t len, Op op,
 }
 
 ApplianceConfig
-smallConfig(uint64_t blocks = 1024)
+smallConfig(uint64_t blocks = 1024, SieveKind sieve = SieveKind::Aod)
 {
     ApplianceConfig cfg;
     cfg.cache_blocks = blocks;
     cfg.track_occupancy = true;
+    cfg.sieve.kind = sieve;
     return cfg;
 }
 
 TEST(Appliance, AodMissThenHit)
 {
-    Appliance app(smallConfig(), std::make_unique<AodPolicy>());
+    Appliance app(smallConfig());
     app.processRequest(makeRequest(1000, 0, 8, Op::Read));
     // Same blocks well after the first request's completion.
     app.processRequest(makeRequest(10000000, 0, 8, Op::Read));
@@ -59,7 +61,7 @@ TEST(Appliance, AllocationWaitsForCompletion)
 {
     // Second access arrives before the first request completes: the
     // data is still being fetched, so it must count as a miss.
-    Appliance app(smallConfig(), std::make_unique<AodPolicy>());
+    Appliance app(smallConfig());
     app.processRequest(makeRequest(1000, 0, 8, Op::Read, 50000));
     app.processRequest(makeRequest(2000, 0, 8, Op::Read, 50000));
     // And a third access after completion hits.
@@ -76,7 +78,7 @@ TEST(Appliance, InterpolatedPartialCompletion)
 {
     // A 100-block request over 100 ms completes block i at ~(i+1) ms.
     // A touch of its first page at +50 ms hits; its last page misses.
-    Appliance app(smallConfig(4096), std::make_unique<AodPolicy>());
+    Appliance app(smallConfig(4096));
     app.processRequest(makeRequest(0, 0, 100, Op::Read, 100000));
     app.processRequest(makeRequest(50000, 0, 8, Op::Read, 1000));
     app.processRequest(makeRequest(50001, 92, 8, Op::Read, 1000));
@@ -87,7 +89,7 @@ TEST(Appliance, InterpolatedPartialCompletion)
 
 TEST(Appliance, WmnaBypassesWriteMisses)
 {
-    Appliance app(smallConfig(), std::make_unique<WmnaPolicy>());
+    Appliance app(smallConfig(1024, SieveKind::Wmna));
     app.processRequest(makeRequest(1000, 0, 8, Op::Write));
     app.processRequest(makeRequest(10000000, 0, 8, Op::Write));
     app.finishTrace();
@@ -105,7 +107,7 @@ TEST(Appliance, WmnaBypassesWriteMisses)
 
 TEST(Appliance, SsdIoCoalescingPerPage)
 {
-    Appliance app(smallConfig(), std::make_unique<AodPolicy>());
+    Appliance app(smallConfig());
     // Allocate 4 aligned pages (32 blocks) and re-read them: the hit
     // service must be 4 read I/Os, not 32.
     app.processRequest(makeRequest(1000, 0, 32, Op::Read));
@@ -120,7 +122,7 @@ TEST(Appliance, SsdIoCoalescingPerPage)
 
 TEST(Appliance, UnalignedHitChargedConservatively)
 {
-    Appliance app(smallConfig(), std::make_unique<AodPolicy>());
+    Appliance app(smallConfig());
     // Blocks 4..11 span two 4 KB pages: conservative 2-I/O charge.
     app.processRequest(makeRequest(1000, 4, 8, Op::Read));
     app.processRequest(makeRequest(10000000, 4, 8, Op::Read));
@@ -130,7 +132,7 @@ TEST(Appliance, UnalignedHitChargedConservatively)
 
 TEST(Appliance, WriteHitsAreSsdWrites)
 {
-    Appliance app(smallConfig(), std::make_unique<AodPolicy>());
+    Appliance app(smallConfig());
     app.processRequest(makeRequest(1000, 0, 8, Op::Read));
     app.processRequest(makeRequest(10000000, 0, 8, Op::Write));
     app.finishTrace();
@@ -142,7 +144,7 @@ TEST(Appliance, WriteHitsAreSsdWrites)
 
 TEST(Appliance, DailyAttributionByAccessTime)
 {
-    Appliance app(smallConfig(), std::make_unique<AodPolicy>());
+    Appliance app(smallConfig());
     app.processRequest(makeRequest(makeTime(0, 12), 0, 8, Op::Read));
     app.finishDay(0);
     app.processRequest(makeRequest(makeTime(1, 12), 0, 8, Op::Read));
@@ -159,7 +161,7 @@ TEST(Appliance, AllocationAttributedToCompletionDay)
     // A request straddling midnight: linear interpolation completes
     // blocks 0-2 before midnight (day 0) and blocks 3-7 at or after it
     // (day 1); each allocation-write lands on its completion day.
-    Appliance app(smallConfig(), std::make_unique<AodPolicy>());
+    Appliance app(smallConfig());
     const uint64_t t = makeTime(1) - 500; // 500 us before midnight
     app.processRequest(makeRequest(t, 0, 8, Op::Read, 1000));
     app.finishDay(0);
@@ -219,7 +221,7 @@ TEST(Appliance, PreloadInstallsBlocksAndCounts)
 
 TEST(Appliance, OccupancyRecordsHitAndAllocIos)
 {
-    Appliance app(smallConfig(), std::make_unique<AodPolicy>());
+    Appliance app(smallConfig());
     app.processRequest(makeRequest(1000, 0, 8, Op::Read));
     app.processRequest(makeRequest(10000000, 0, 8, Op::Read));
     app.finishTrace();
@@ -233,22 +235,40 @@ TEST(Appliance, OccupancyDisabled)
 {
     ApplianceConfig cfg = smallConfig();
     cfg.track_occupancy = false;
-    Appliance app(cfg, std::make_unique<AodPolicy>());
+    Appliance app(cfg);
     EXPECT_EQ(app.occupancy(), nullptr);
 }
 
 TEST(Appliance, PolicyNamePassthrough)
 {
-    Appliance cont(smallConfig(), std::make_unique<WmnaPolicy>());
+    Appliance cont(smallConfig(1024, SieveKind::Wmna));
     EXPECT_STREQ(cont.policyName(), "WMNA");
     Appliance disc(smallConfig(), std::make_unique<AdbaSelector>(10));
     EXPECT_STREQ(disc.policyName(), "SieveStore-D");
 }
 
+TEST(Appliance, NullReplacementFactoryIsFatal)
+{
+    // A replacement factory that returns null is a configuration
+    // error, not a quiet fall back to the flat LRU.
+    ApplianceConfig cfg = smallConfig();
+    cfg.replacement = [] {
+        return std::unique_ptr<sievestore::cache::ReplacementPolicy>();
+    };
+    EXPECT_THROW({ Appliance app(cfg); }, FatalError);
+}
+
+TEST(Appliance, NullAllocationFactoryIsFatal)
+{
+    ApplianceConfig cfg = smallConfig();
+    cfg.allocation = [] { return std::unique_ptr<AllocationPolicy>(); };
+    EXPECT_THROW({ Appliance app(cfg); }, FatalError);
+}
+
 TEST(Appliance, LruEvictionUnderPressure)
 {
     // Cache of 16 blocks, AOD: newer allocations evict older ones.
-    Appliance app(smallConfig(16), std::make_unique<AodPolicy>());
+    Appliance app(smallConfig(16));
     app.processRequest(makeRequest(1000, 0, 8, Op::Read));
     app.processRequest(makeRequest(10000000, 100, 8, Op::Read));
     app.processRequest(makeRequest(20000000, 200, 8, Op::Read));
@@ -292,7 +312,7 @@ TEST(Appliance, StorageColumnsSumAcrossDayBarriers)
     // must equal the field-wise sum of the per-day reports — every
     // measured I/O attributed to exactly one day, none lost or
     // double-counted at the barrier.
-    Appliance app(smallConfig(), std::make_unique<AodPolicy>());
+    Appliance app(smallConfig());
     app.processRequest(makeRequest(makeTime(0, 1), 0, 8, Op::Read));
     app.processRequest(makeRequest(makeTime(0, 2), 64, 8, Op::Write));
     app.processRequest(makeRequest(makeTime(1, 1), 0, 8, Op::Read));

@@ -115,7 +115,8 @@ TEST_P(ApplianceProperties, AccountingInvariantsHold)
     cfg.cache_blocks = 512;
     cfg.track_occupancy = true;
     cfg.eviction = makeEviction(combo.replacement);
-    Appliance app(cfg, makePolicy(combo.policy));
+    cfg.allocation = [kind = combo.policy] { return makePolicy(kind); };
+    Appliance app(cfg);
 
     auto reqs = randomTrace(combo.seed, 3000);
     uint64_t expected_accesses = 0, expected_reads = 0;

@@ -7,12 +7,14 @@
 
 #include "cache/block_cache.hpp"
 #include "cache/replacement.hpp"
+#include "oracle/reference_replacement.hpp"
 #include "util/logging.hpp"
 #include "util/random.hpp"
 
 namespace {
 
 using namespace sievestore::cache;
+using sievestore::oracle::makeReferencePolicy;
 using sievestore::trace::BlockId;
 using sievestore::util::FatalError;
 using sievestore::util::Rng;

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/unsieved.hpp"
+#include "core/appliance.hpp"
 #include "sim/driver.hpp"
 #include "util/logging.hpp"
 #include "util/sim_time.hpp"
@@ -38,6 +38,7 @@ config()
     core::ApplianceConfig cfg;
     cfg.cache_blocks = 1024;
     cfg.track_occupancy = false;
+    cfg.sieve.kind = core::SieveKind::Aod;
     return cfg;
 }
 
@@ -74,7 +75,7 @@ TEST(Driver, HandlesMultiDayGaps)
 
 TEST(Driver, TraceNotStartingAtDayZero)
 {
-    core::Appliance app(config(), std::make_unique<core::AodPolicy>());
+    core::Appliance app(config());
     std::vector<Request> reqs = {makeRequest(makeTime(5, 1), 0, 8)};
     VectorTrace trace(std::move(reqs));
     sim::runTrace(trace, app);
@@ -84,7 +85,7 @@ TEST(Driver, TraceNotStartingAtDayZero)
 
 TEST(Driver, RejectsTimeTravel)
 {
-    core::Appliance app(config(), std::make_unique<core::AodPolicy>());
+    core::Appliance app(config());
     // Hand-roll an unsorted reader (VectorTrace would reject it).
     class Unsorted : public TraceReader
     {
@@ -109,7 +110,7 @@ TEST(Driver, RejectsTimeTravel)
 
 TEST(Driver, EmptyTrace)
 {
-    core::Appliance app(config(), std::make_unique<core::AodPolicy>());
+    core::Appliance app(config());
     VectorTrace trace(std::vector<Request>{});
     sim::runTrace(trace, app);
     EXPECT_TRUE(app.daily().empty());

@@ -2,7 +2,7 @@
  * @file
  * Differential proof that the flat block-index cache engine is
  * behavior-identical to the node-based Reference* policies it
- * replaced.
+ * replaced, which live on as oracles in tests/oracle/.
  *
  * The refactor's claim is not "roughly the same policy" but
  * *bit-identical decisions*: the same victim on every insert, the
@@ -27,6 +27,7 @@
 #include "core/appliance.hpp"
 #include "core/discrete.hpp"
 #include "core/sieve_spec.hpp"
+#include "oracle/reference_replacement.hpp"
 #include "sim/driver.hpp"
 #include "sim/experiment.hpp"
 #include "util/random.hpp"
@@ -36,6 +37,8 @@ namespace {
 
 using namespace sievestore;
 using namespace sievestore::cache;
+using oracle::makeReferencePolicy;
+using oracle::makeReferenceSievePolicy;
 using core::DailyReport;
 using sievestore::trace::BlockId;
 using sievestore::util::Rng;
@@ -322,7 +325,7 @@ TEST(FlatSieveDifferential, ApplianceReportsMatchReferenceSieve)
         flat_cfg.sieve = spec;
         core::ApplianceConfig ref_cfg = flat_cfg;
         ref_cfg.allocation = [spec] {
-            return core::makeReferenceSievePolicy(spec);
+            return makeReferenceSievePolicy(spec);
         };
 
         core::Appliance flat_app(flat_cfg);
@@ -374,7 +377,7 @@ TEST(FlatSieveDifferential, SieveCAblationsMatchReferenceSieve)
         core::ApplianceConfig ref_cfg = flat_cfg;
         const core::SievePolicySpec spec = flat_cfg.sieve;
         ref_cfg.allocation = [spec] {
-            return core::makeReferenceSievePolicy(spec);
+            return makeReferenceSievePolicy(spec);
         };
 
         core::Appliance flat_app(flat_cfg);
@@ -468,7 +471,7 @@ TEST(BatchKernelDifferential, ProcessBatchMatchesReferenceAcrossMatrix)
                 if (sk) {
                     const core::SievePolicySpec spec = cfg.sieve;
                     ref_cfg.allocation = [spec] {
-                        return core::makeReferenceSievePolicy(spec);
+                        return makeReferenceSievePolicy(spec);
                     };
                 }
                 const auto ref_app = make(ref_cfg);

@@ -20,6 +20,7 @@
 #include "core/imct.hpp"
 #include "core/mct.hpp"
 #include "core/windowed_counter.hpp"
+#include "oracle/reference_replacement.hpp"
 #include "util/flat_index.hpp"
 #include "util/footprint.hpp"
 #include "util/sim_time.hpp"
@@ -29,6 +30,7 @@ namespace {
 using namespace sievestore;
 using namespace sievestore::core;
 using namespace sievestore::cache;
+using sievestore::oracle::makeReferencePolicy;
 using sievestore::trace::BlockId;
 
 WindowSpec

@@ -22,6 +22,7 @@
 #include "cache/replacement.hpp"
 #include "core/appliance.hpp"
 #include "core/sieve_spec.hpp"
+#include "oracle/reference_replacement.hpp"
 #include "sim/driver.hpp"
 #include "sim/experiment.hpp"
 #include "sim/sharded.hpp"
@@ -33,6 +34,8 @@ namespace {
 
 using namespace sievestore;
 using namespace sievestore::cache;
+using oracle::makeReferencePolicy;
+using oracle::ReferenceArcPolicy;
 using core::DailyReport;
 using sievestore::trace::BlockId;
 using sievestore::util::Rng;

@@ -2,20 +2,30 @@
  * @file
  * Unit tests for replacement policies, run against BOTH cache engines:
  * the flat block-index engine (EvictionSpec) and the node-based
- * Reference* policies it must match.
+ * Reference* oracles in tests/oracle/ it must match. OracleRetain,
+ * which stands alone in src/, is differenced against the flat LRU.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <optional>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
 
 #include "cache/block_cache.hpp"
 #include "cache/replacement.hpp"
+#include "oracle/reference_replacement.hpp"
+#include "util/random.hpp"
 
 namespace {
 
 using namespace sievestore::cache;
+using namespace sievestore::oracle;
 using sievestore::trace::BlockId;
+using sievestore::util::Rng;
 
 /** Both engines for one built-in policy kind. */
 std::vector<BlockCache>
@@ -185,6 +195,156 @@ TEST(OracleRetain, FallsBackToLruWhenAllProtected)
     EXPECT_EQ(*evicted, 1u); // LRU of the protected set
 }
 
+/** Resident blocks in ascending order (contents() is unordered). */
+std::vector<BlockId>
+sortedContents(const BlockCache &cache)
+{
+    auto blocks = cache.contents();
+    std::sort(blocks.begin(), blocks.end());
+    return blocks;
+}
+
+/**
+ * With nothing protected, OracleRetain is plain LRU. No differential
+ * suite covers its recency list, so it is differenced here against
+ * the flat LRU engine on one long random stream of hits, inserts at
+ * capacity, erases and epoch swaps: every victim, every swap's
+ * accounting and every resident set must agree.
+ */
+TEST(OracleRetain, EmptyProtectedSetMatchesFlatLru)
+{
+    constexpr uint64_t kCapacity = 64;
+    constexpr uint64_t kKeySpace = 256;
+    BlockCache flat(kCapacity, EvictionSpec{EvictionKind::Lru});
+    BlockCache retain(kCapacity, std::make_unique<OracleRetainPolicy>());
+    Rng rng(29);
+    uint64_t evictions = 0;
+    uint64_t swaps = 0;
+    for (int op = 0; op < 20000; ++op) {
+        const BlockId b = rng.nextBelow(kKeySpace);
+        const uint64_t pick = rng.nextBelow(100);
+        if (pick < 2) { // epoch swap, sometimes oversized
+            std::vector<BlockId> incoming;
+            const uint64_t n = rng.nextBelow(kCapacity + kCapacity / 2);
+            for (uint64_t i = 0; i < n; ++i)
+                incoming.push_back(rng.nextBelow(kKeySpace));
+            std::vector<BlockId> f_alloc, f_evict, r_alloc, r_evict;
+            const BatchReplaceResult f =
+                flat.batchReplace(incoming, &f_alloc, &f_evict);
+            const BatchReplaceResult r =
+                retain.batchReplace(incoming, &r_alloc, &r_evict);
+            ASSERT_EQ(f.allocated, r.allocated) << "op " << op;
+            ASSERT_EQ(f.retained, r.retained) << "op " << op;
+            ASSERT_EQ(f.evicted, r.evicted) << "op " << op;
+            ASSERT_EQ(f_alloc, r_alloc) << "op " << op;
+            ASSERT_EQ(f_evict, r_evict) << "op " << op;
+            ++swaps;
+        } else if (pick < 12) { // explicit erase
+            ASSERT_EQ(flat.erase(b), retain.erase(b)) << "op " << op;
+        } else { // access, insert on miss (the appliance hot path)
+            const bool hit = flat.access(b);
+            ASSERT_EQ(hit, retain.access(b)) << "op " << op;
+            if (!hit) {
+                const auto victim = flat.insert(b);
+                ASSERT_EQ(victim, retain.insert(b))
+                    << "victim for insert(" << b << ") op " << op;
+                evictions += victim.has_value() ? 1u : 0u;
+            }
+        }
+        ASSERT_EQ(sortedContents(flat), sortedContents(retain))
+            << "op " << op;
+    }
+    retain.checkInvariants();
+    // The stream must have exercised the paths it claims to.
+    EXPECT_GT(evictions, 1000u);
+    EXPECT_GT(swaps, 100u);
+}
+
+/**
+ * A protected set installed mid-stream (and widened later) is never
+ * evicted while an unprotected block is resident. Rotation only ever
+ * moves protected blocks, so among unprotected ones the victim is
+ * still the least recently used: that is checked too. The wider set
+ * contains the first, because a block rotated while protected keeps
+ * the hotter place rotation gave it; unprotecting it would make its
+ * recency unobservable from outside the policy.
+ */
+TEST(OracleRetain, ProtectedSetInstalledMidStream)
+{
+    constexpr uint64_t kCapacity = 32;
+    constexpr uint64_t kKeySpace = 128;
+    constexpr int kOps = 30000;
+    auto policy = std::make_unique<OracleRetainPolicy>();
+    OracleRetainPolicy *oracle = policy.get();
+    BlockCache cache(kCapacity, std::move(policy));
+    Rng rng(31);
+    std::unordered_set<BlockId> protected_set;
+    std::unordered_map<BlockId, int> last_touch;
+    uint64_t protected_victims = 0;
+    uint64_t unprotected_victims = 0;
+    for (int op = 0; op < kOps; ++op) {
+        if (op == kOps / 3 || op == 2 * kOps / 3) {
+            // Fewer protected keys than slots at the first install,
+            // more at the second, so both the scan and the
+            // all-protected fallback run.
+            const uint64_t want = op == kOps / 3 ? kCapacity / 2
+                                                 : 2 * kCapacity;
+            while (protected_set.size() < want)
+                protected_set.insert(rng.nextBelow(kKeySpace));
+            oracle->setProtected(protected_set);
+        }
+        const BlockId b = rng.nextBelow(kKeySpace);
+        if (rng.nextBelow(10) == 0) {
+            cache.erase(b);
+            continue;
+        }
+        if (cache.access(b)) {
+            last_touch[b] = op;
+            continue;
+        }
+        // The expected victim: the least recently touched unprotected
+        // resident block, if any is resident.
+        std::optional<BlockId> coldest_unprotected;
+        if (cache.full()) {
+            for (const BlockId r : cache.contents()) {
+                if (protected_set.count(r))
+                    continue;
+                if (!coldest_unprotected ||
+                    last_touch[r] < last_touch[*coldest_unprotected])
+                    coldest_unprotected = r;
+            }
+        }
+        const auto victim = cache.insert(b);
+        last_touch[b] = op;
+        if (!victim)
+            continue;
+        if (coldest_unprotected) {
+            ASSERT_FALSE(protected_set.count(*victim))
+                << "protected block " << *victim
+                << " evicted while unprotected " << *coldest_unprotected
+                << " was resident, op " << op;
+            ASSERT_EQ(*victim, *coldest_unprotected) << "op " << op;
+            ++unprotected_victims;
+        } else {
+            ASSERT_TRUE(protected_set.count(*victim)) << "op " << op;
+            ++protected_victims;
+        }
+    }
+    cache.checkInvariants();
+    EXPECT_GT(unprotected_victims, 1000u);
+    EXPECT_GT(protected_victims, 0u);
+}
+
+TEST(OracleRetain, MisuseIsPanic)
+{
+    OracleRetainPolicy retain;
+    EXPECT_DEATH(retain.victim(), "empty");
+    EXPECT_DEATH(retain.onAccess(42), "non-resident");
+    retain.onInsert(1);
+    EXPECT_DEATH(retain.onInsert(1), "duplicate");
+    EXPECT_DEATH(retain.onErase(2), "non-resident");
+}
+
 TEST(Policies, NamesAreStable)
 {
     EXPECT_STREQ(ReferenceLruPolicy().name(), "LRU");
@@ -249,6 +409,7 @@ TEST(Policies, FlatMemoryNeverAboveReference)
 namespace clock_tests {
 
 using namespace sievestore::cache;
+using namespace sievestore::oracle;
 using sievestore::trace::BlockId;
 
 /** Both engines for CLOCK. */

@@ -14,6 +14,7 @@
 #include <string>
 
 #include "core/sieve_spec.hpp"
+#include "oracle/reference_replacement.hpp"
 #include "util/random.hpp"
 #include "util/sim_time.hpp"
 
@@ -24,6 +25,7 @@ using core::AllocDecision;
 using core::FlatSieve;
 using core::SieveKind;
 using core::SievePolicySpec;
+using oracle::makeReferenceSievePolicy;
 using util::Rng;
 
 const SieveKind kAllSieveKinds[] = {SieveKind::Aod, SieveKind::Wmna,
@@ -73,7 +75,7 @@ TEST(SieveSpec, FlatSieveMatchesReferenceDecisionForDecision)
     for (const SieveKind kind : kAllSieveKinds) {
         const SievePolicySpec spec = specFor(kind);
         FlatSieve flat(spec);
-        auto reference = core::makeReferenceSievePolicy(spec);
+        auto reference = makeReferenceSievePolicy(spec);
         const std::string label = core::sieveKindName(kind);
 
         Rng rng(7 + static_cast<uint64_t>(kind));
@@ -102,7 +104,7 @@ TEST(SieveSpec, NamesMatchReferenceEngine)
     for (const SieveKind kind : kAllSieveKinds) {
         const SievePolicySpec spec = specFor(kind);
         FlatSieve flat(spec);
-        auto reference = core::makeReferenceSievePolicy(spec);
+        auto reference = makeReferenceSievePolicy(spec);
         EXPECT_STREQ(flat.name(), reference->name());
         EXPECT_EQ(flat.kind(), kind);
     }
@@ -113,13 +115,13 @@ TEST(SieveSpec, SieveCAblationNamesFlowThroughSpec)
     SievePolicySpec spec = specFor(SieveKind::SieveStoreC);
     spec.sieve_c.mct_only = true;
     FlatSieve mct_only(spec);
-    auto mct_ref = core::makeReferenceSievePolicy(spec);
+    auto mct_ref = makeReferenceSievePolicy(spec);
     EXPECT_STREQ(mct_only.name(), mct_ref->name());
 
     spec.sieve_c.mct_only = false;
     spec.sieve_c.imct_only = true;
     FlatSieve imct_only(spec);
-    auto imct_ref = core::makeReferenceSievePolicy(spec);
+    auto imct_ref = makeReferenceSievePolicy(spec);
     EXPECT_STREQ(imct_only.name(), imct_ref->name());
 }
 
@@ -128,7 +130,7 @@ TEST(SieveSpec, MetastateMatchesReferenceEngine)
     for (const SieveKind kind : kAllSieveKinds) {
         const SievePolicySpec spec = specFor(kind);
         FlatSieve flat(spec);
-        auto reference = core::makeReferenceSievePolicy(spec);
+        auto reference = makeReferenceSievePolicy(spec);
         EXPECT_EQ(flat.metastateBytes(), reference->metastateBytes())
             << core::sieveKindName(kind);
     }

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/appliance.hpp"
-#include "core/unsieved.hpp"
 #include "storage/analytic_backend.hpp"
 #include "storage/backend.hpp"
 #include "storage/fault_backend.hpp"
@@ -328,6 +327,7 @@ faultTestConfig()
     core::ApplianceConfig cfg;
     cfg.cache_blocks = 1024;
     cfg.track_occupancy = false;
+    cfg.sieve.kind = core::SieveKind::Aod;
     return cfg;
 }
 
@@ -336,8 +336,7 @@ TEST(ApplianceDegradation, FaultyReadsFallThroughWithoutCrash)
     // Healthy reference run.
     core::ApplianceConfig clean_cfg = faultTestConfig();
     clean_cfg.backend.kind = BackendKind::Analytic;
-    core::Appliance clean(clean_cfg,
-                          std::make_unique<core::AodPolicy>());
+    core::Appliance clean(clean_cfg);
     replayWorkload(clean);
 
     // Same workload with every 2nd read and every 3rd write failing.
@@ -349,8 +348,7 @@ TEST(ApplianceDegradation, FaultyReadsFallThroughWithoutCrash)
         return std::make_unique<FaultInjectingBackend>(
             analyticInner(), plan);
     };
-    core::Appliance faulty(faulty_cfg,
-                           std::make_unique<core::AodPolicy>());
+    core::Appliance faulty(faulty_cfg);
     replayWorkload(faulty);
 
     const core::DailyReport c = clean.totals();
@@ -390,7 +388,7 @@ TEST(ApplianceStorage, AnalyticCountsMatchModelCharges)
 {
     core::ApplianceConfig cfg = faultTestConfig();
     cfg.backend.kind = BackendKind::Analytic;
-    core::Appliance app(cfg, std::make_unique<core::AodPolicy>());
+    core::Appliance app(cfg);
     replayWorkload(app);
 
     const core::DailyReport t = app.totals();
@@ -415,7 +413,7 @@ TEST(ApplianceStorage, NoneBackendSkipsEmission)
 {
     core::ApplianceConfig cfg = faultTestConfig();
     cfg.backend.kind = BackendKind::None;
-    core::Appliance app(cfg, std::make_unique<core::AodPolicy>());
+    core::Appliance app(cfg);
     replayWorkload(app);
     EXPECT_EQ(app.storageBackend(), nullptr);
     const core::DailyReport t = app.totals();
@@ -428,15 +426,14 @@ TEST(ApplianceStorage, FileBackendKeepsModelFieldsIdentical)
 {
     core::ApplianceConfig analytic_cfg = faultTestConfig();
     analytic_cfg.backend.kind = BackendKind::Analytic;
-    core::Appliance a(analytic_cfg,
-                      std::make_unique<core::AodPolicy>());
+    core::Appliance a(analytic_cfg);
     replayWorkload(a);
 
     core::ApplianceConfig file_cfg = faultTestConfig();
     file_cfg.backend.kind = BackendKind::File;
     file_cfg.backend.file.workers = 0;
     file_cfg.backend.file.engine = FileBackendConfig::Engine::Sync;
-    core::Appliance f(file_cfg, std::make_unique<core::AodPolicy>());
+    core::Appliance f(file_cfg);
     replayWorkload(f);
 
     const core::DailyReport ta = a.totals();
