@@ -21,9 +21,10 @@ and developer machines are noisy — back-to-back idle runs of the
 replay bench vary by up to ~35% on shared hosts — so the baselines
 exist to catch step-change regressions, not single-digit drift).
 Speedups never fail. A baseline row the fresh run lacks fails in both
-formats: a renamed or dropped benchmark, or a run filter that no
-longer produces the row, would otherwise leave the row ungated
-without anyone noticing. Benchmarks present only in the fresh run are
+formats, and so does a baseline ``req/s`` column a fresh replay row
+lacks: a renamed or dropped benchmark or column, or a run filter that
+no longer produces the row, would otherwise leave it ungated without
+anyone noticing. Benchmarks present only in the fresh run are
 warn-and-skip, never failures, and ``--allow-missing-baseline``
 extends that to a baseline file that does not exist yet — both so a
 new bench can land before its quiet-host baseline does. Exit status:
@@ -240,7 +241,12 @@ def compareReplay(base_docs, fresh_docs, tolerance):
                   f"<< DETERMINISM BREAK")
             failures.append(f"{label} determinism")
         for col in brow:
-            if not _RATE_RE.search(col) or col not in frow:
+            if not _RATE_RE.search(col):
+                continue
+            if col not in frow:
+                print(f"  {label} {col}: in baseline, not in fresh "
+                      f"row  << MISSING")
+                failures.append(f"{label} {col} missing")
                 continue
             b = float(str(brow[col]).replace(",", ""))
             f = float(str(frow[col]).replace(",", ""))
@@ -317,7 +323,7 @@ def compareFiles(baseline, fresh, tolerance=0.50, fmt="auto",
         failures = compareReplay(base_docs, fresh_docs, tolerance)
     if failures:
         print(f"bench-compare: FAILED ({len(failures)} regression(s) "
-              f"or missing row(s))")
+              f"or missing row(s)/column(s))")
         return 1
     print("bench-compare: OK")
     return 0
@@ -331,6 +337,8 @@ SELF_TEST_CASES = (
     ("compare", ("gbench_base.json", "gbench_fresh_slow.json"), 1),
     ("compare", ("replay_base.json", "replay_fresh_ok.json"), 0),
     ("compare", ("replay_base.json", "replay_fresh_missing.json"), 1),
+    ("compare", ("replay_base.json",
+                 "replay_fresh_missing_column.json"), 1),
     ("compare", ("replay_base.json", "replay_fresh_diverged.json"), 1),
     ("compare", ("gbench_base.json", "replay_fresh_ok.json"), 2),
     ("scaling", ("scaling_ok.json",), 0),

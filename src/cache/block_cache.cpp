@@ -121,24 +121,6 @@ BlockCache::access(BlockId block)
 }
 
 void
-BlockCache::containsBatch(std::span<const BlockId> blocks,
-                          std::span<bool> hit) const
-{
-    SIEVE_DCHECK(hit.size() >= blocks.size());
-    // A pure batched probe: the kernel reads the index and writes the
-    // caller's spans, nothing else.
-    SIEVE_ASSERT_NO_ALLOC;
-    const PolicyState *st[kProbeBatch];
-    for (size_t base = 0; base < blocks.size(); base += kProbeBatch) {
-        const size_t n = std::min(kProbeBatch, blocks.size() - base);
-        index.findBatch(blocks.subspan(base, n),
-                        std::span<const PolicyState *>(st, n));
-        for (size_t i = 0; i < n; ++i)
-            hit[base + i] = st[i] != nullptr;
-    }
-}
-
-void
 BlockCache::touchBatch(std::span<const BlockId> blocks,
                        std::span<bool> hit)
 {

@@ -125,13 +125,6 @@ class BlockCache
     bool contains(trace::BlockId block) const;
 
     /**
-     * Batched residency test: `hit[i]` = contains(blocks[i]). Runs
-     * the FlatIndex hash-ahead/prefetch kernel; no side effects.
-     */
-    void containsBatch(std::span<const trace::BlockId> blocks,
-                       std::span<bool> hit) const;
-
-    /**
      * Access a block: if resident, notifies the replacement policy (LRU
      * promotion) and returns true; otherwise returns false. One hash
      * probe in flat mode. Taint sink: cache mutation entry point —
@@ -205,7 +198,6 @@ class BlockCache
     const char *policyName() const;
 
     /** The custom policy, or nullptr when the flat engine is active. */
-    ReplacementPolicy *customPolicy() { return custom.get(); }
     const ReplacementPolicy *customPolicy() const { return custom.get(); }
 
     /** Snapshot of resident blocks (unordered). */

@@ -267,9 +267,6 @@ class Appliance
     const char *policyName() const;
 
     const cache::BlockCache &blockCache() const { return cache_; }
-    /** Mutable cache access (oracle experiments install protected
-     * sets on the replacement policy between days). */
-    cache::BlockCache &blockCache() { return cache_; }
 
     /** Metastate footprint of the sieve structures, in bytes. */
     uint64_t metastateBytes() const;

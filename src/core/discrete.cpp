@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "analysis/popularity.hpp"
 #include "util/check.hpp"
 #include "util/footprint.hpp"
 #include "util/logging.hpp"
@@ -146,48 +145,6 @@ RandomBlockSelector::checkInvariants() const
     SIEVE_CHECK(fraction > 0.0 && fraction <= 1.0,
                 "RandSieve-BlkD fraction %f out of (0, 1]", fraction);
     seen.checkInvariants();
-}
-
-TopPercentSelector::TopPercentSelector(double fraction_)
-    : fraction(fraction_)
-{
-    if (fraction <= 0.0 || fraction > 1.0)
-        util::fatal("TopPercentSelector fraction must be in (0, 1]");
-}
-
-void
-TopPercentSelector::observe(BlockId block)
-{
-    counts.observe(block);
-}
-
-void
-TopPercentSelector::observeBatch(std::span<const BlockId> blocks)
-{
-    counts.observeBatch(blocks);
-}
-
-std::vector<BlockId>
-TopPercentSelector::endOfEpoch()
-{
-    analysis::PopularityProfile profile(counts.sortedByCount(), 1);
-    std::vector<BlockId> top = profile.topBlocks(fraction);
-    counts.clear();
-    return top;
-}
-
-uint64_t
-TopPercentSelector::metastateBytes() const
-{
-    return counts.memoryBytes();
-}
-
-void
-TopPercentSelector::checkInvariants() const
-{
-    SIEVE_CHECK(fraction > 0.0 && fraction <= 1.0,
-                "TopPercent fraction %f out of (0, 1]", fraction);
-    counts.checkInvariants();
 }
 
 OracleDaySelector::OracleDaySelector(

@@ -121,30 +121,6 @@ class RandomBlockSelector : public DiscreteSelector
 };
 
 /**
- * Causal top-fraction selector: at each epoch boundary, the
- * most-accessed `fraction` of the *finished* epoch's blocks is
- * installed for the next epoch. This is what ADBA would be with a
- * rank-based (rather than threshold-based) criterion; used in
- * sensitivity ablations.
- */
-class TopPercentSelector : public DiscreteSelector
-{
-  public:
-    explicit TopPercentSelector(double fraction = 0.01);
-
-    void observe(trace::BlockId block) override;
-    void observeBatch(std::span<const trace::BlockId> blocks) override;
-    std::vector<trace::BlockId> endOfEpoch() override;
-    const char *name() const override { return "TopPercent-D"; }
-    uint64_t metastateBytes() const override;
-    void checkInvariants() const override;
-
-  private:
-    double fraction;
-    analysis::AccessCounter counts;
-};
-
-/**
  * The per-day oracle (Section 5.1's "ideal"): holds each day's top 1 %
  * of blocks *during that day*, which requires future knowledge. The
  * per-day sets come from a profiling pass over the trace

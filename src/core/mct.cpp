@@ -24,24 +24,6 @@ Mct::contains(trace::BlockId block) const
 }
 
 void
-Mct::containsBatch(std::span<const trace::BlockId> blocks,
-                   std::span<bool> tracked) const
-{
-    SIEVE_DCHECK(tracked.size() >= blocks.size());
-    SIEVE_ASSERT_NO_ALLOC;
-    const WindowedCounter *st[util::FlatIndex<WindowedCounter>::kBatchChunk];
-    constexpr size_t kChunk =
-        util::FlatIndex<WindowedCounter>::kBatchChunk;
-    for (size_t base = 0; base < blocks.size(); base += kChunk) {
-        const size_t n = std::min(kChunk, blocks.size() - base);
-        entries.findBatch(blocks.subspan(base, n),
-                          std::span<const WindowedCounter *>(st, n));
-        for (size_t i = 0; i < n; ++i)
-            tracked[base + i] = st[i] != nullptr;
-    }
-}
-
-void
 Mct::admit(trace::BlockId block, util::TimeUs t)
 {
     if (!entries.hasCapacityFor(1)) {

@@ -33,15 +33,6 @@ class Mct
     /** True if the block is currently tracked. */
     bool contains(trace::BlockId block) const;
 
-    /**
-     * Batched membership probe: `tracked[i]` = contains(blocks[i]),
-     * resolved through the FlatIndex hash-ahead/prefetch kernel. Used
-     * by the appliance's batched miss path to overlap the MCT's
-     * dependent loads across a chunk of misses.
-     */
-    void containsBatch(std::span<const trace::BlockId> blocks,
-                       std::span<bool> tracked) const;
-
     /** Start pulling the block's table line toward L1 (pure hint). */
     void prefetch(trace::BlockId block) const { entries.prefetch(block); }
 

@@ -1,23 +1,25 @@
 /**
  * @file
- * The shared batching facade of the replay drivers.
+ * The batching pieces of the replay engine (replay(), sim/driver.hpp).
  *
- * Every driver (runTrace, runSharded, runShardedParallel,
- * runPerServer) moves requests in batches: TraceReader::nextBatch()
- * decodes N requests per virtual call, pumpBatches() slices each
- * decoded batch at calendar-day boundaries and emits day-end events
- * between slices, and RequestBatcher re-accumulates routed requests
- * (per shard, per server) into fixed-capacity bins so the downstream
- * hand-off — Appliance::processBatch, or one SPSC push — also happens
- * once per batch instead of once per request.
+ * The engine, behind every driver (runTrace, runSharded,
+ * runShardedParallel, runPerServer), moves requests in batches:
+ * TraceReader::nextBatch() decodes N requests per virtual call,
+ * pumpBatches() slices each decoded batch at calendar-day boundaries
+ * and emits day-end events between slices, and RequestBatcher
+ * re-accumulates routed requests (per shard, per server) into
+ * fixed-capacity bins so the downstream hand-off —
+ * Appliance::processBatch, or one SPSC push — also happens once per
+ * batch instead of once per request. Both pieces stay public so an
+ * instrumented harness can rebuild the composition layer by layer.
  *
  * Day-end flush protocol: pumpBatches() never lets a slice straddle a
- * day boundary, and drivers flush every partial RequestBatcher bin
- * *before* propagating a day-end event downstream. Batching therefore
- * changes only the grouping of the per-appliance request stream, never
- * its order or its interleaving with finishDay() — which is what the
- * differential suites (test_batch_pipeline, test_parallel_replay)
- * prove bit-identical to per-request replay.
+ * day boundary, and the engine flushes every partial RequestBatcher
+ * bin *before* propagating a day-end event downstream. Batching
+ * therefore changes only the grouping of the per-appliance request
+ * stream, never its order or its interleaving with finishDay() —
+ * which is what the differential suites (test_batch_pipeline,
+ * test_parallel_replay) prove bit-identical to per-request replay.
  *
  * The single-day guarantee is also what lets processBatch run the
  * batched FlatIndex lookup kernel (probe-gather -> sieve-prefetch ->
@@ -130,9 +132,9 @@ class RequestBatcher
     }
 
     /**
-     * Flush every partially-filled bin. Drivers call this before every
-     * day-end event and at end of trace, so no request is ever held
-     * across a finishDay() and bins never mix calendar days.
+     * Flush every partially-filled bin. The engine calls this before
+     * every day-end event and at end of trace, so no request is ever
+     * held across a finishDay() and bins never mix calendar days.
      */
     void
     flushAll()

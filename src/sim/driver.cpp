@@ -3,10 +3,7 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "sim/batch.hpp"
 #include "util/check.hpp"
-#include "util/logging.hpp"
-#include "util/sim_time.hpp"
 
 namespace sievestore {
 namespace sim {
@@ -24,22 +21,11 @@ void
 runTrace(trace::TraceReader &reader, core::Appliance &appliance,
          const DriverOptions &options)
 {
-    // pumpBatches slices decode batches at day boundaries, so each
-    // slice feeds processBatch directly — no re-accumulation needed
-    // for a single appliance.
-    pumpBatches(
-        reader, options.batch,
-        [&](std::span<const trace::Request> slice) {
-            appliance.processBatch(slice);
-        },
-        [&](int day) {
-            appliance.finishDay(day);
-            if (options.check_invariants)
-                appliance.checkInvariants();
-        });
-    appliance.finishTrace();
-    if (options.check_invariants)
-        appliance.checkInvariants();
+    ReplayPlan plan;
+    plan.nodes = {&appliance};
+    plan.batch = options.batch;
+    plan.audit = options.check_invariants;
+    replay(reader, plan);
 }
 
 void

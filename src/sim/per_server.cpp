@@ -3,7 +3,7 @@
 #include <cmath>
 #include <unordered_set>
 
-#include "sim/batch.hpp"
+#include "sim/driver.hpp"
 #include "util/logging.hpp"
 #include "util/sim_time.hpp"
 
@@ -30,36 +30,16 @@ runPerServer(trace::TraceReader &reader, const PerServerConfig &config)
         appliances.push_back(makeAppliance(pc, ac));
     }
 
-    // Per-server accumulation through the shared batching facade:
-    // whole requests route by server, bins flush into processBatch at
-    // the same points the per-request loop would have processed them.
-    auto deliver = [&appliances](size_t server,
-                                 std::span<const trace::Request> reqs) {
-        appliances[server]->processBatch(reqs);
-    };
-    RequestBatcher<decltype(deliver)> batcher(n, config.batch, deliver);
-    pumpBatches(
-        reader, config.batch,
-        [&](std::span<const trace::Request> slice) {
-            for (const trace::Request &req : slice) {
-                if (req.server >= n)
-                    util::fatal(
-                        "request from server %u but only %zu capacities",
-                        unsigned(req.server), n);
-                batcher.add(req.server, req);
-            }
-        },
-        [&](int day) {
-            batcher.flushAll();
-            for (auto &a : appliances)
-                a->finishDay(day);
-        });
-    batcher.flushAll();
+    ReplayPlan plan;
+    plan.nodes = borrowNodes(appliances);
+    plan.route = Route::ByServer;
+    plan.batch = config.batch;
+    plan.audit = defaultCheckInvariants();
+    replay(reader, plan);
 
     PerServerResult result;
     result.per_server.resize(n);
     for (size_t s = 0; s < n; ++s) {
-        appliances[s]->finishTrace();
         result.per_server[s] = appliances[s]->daily();
         result.total_capacity_blocks += config.capacities_blocks[s];
         if (result.per_server[s].size() > result.combined.size())

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 
-#include "sim/batch.hpp"
 #include "sim/driver.hpp"
-#include "util/check.hpp"
 #include "util/hashing.hpp"
 #include "util/logging.hpp"
-#include "util/sim_time.hpp"
 
 namespace sievestore {
 namespace sim {
@@ -54,14 +51,7 @@ ShardedResult::loadImbalance() const
 void
 ShardedResult::checkInvariants() const
 {
-    SIEVE_CHECK(!nodes.empty(), "sharded deployment has no nodes");
-    for (const auto &node : nodes) {
-        SIEVE_CHECK(node != nullptr);
-        node->checkInvariants();
-    }
-    const core::DailyReport sum = totals();
-    SIEVE_CHECK(sum.hits <= sum.accesses);
-    SIEVE_CHECK(sum.read_hits + sum.write_hits == sum.hits);
+    checkNodes(borrowNodes(nodes));
 }
 
 size_t
@@ -96,48 +86,41 @@ makeShardNodes(const ShardedConfig &config)
     return nodes;
 }
 
+namespace {
+
 ShardedResult
-runSharded(trace::TraceReader &reader, const ShardedConfig &config)
+replaySharded(trace::TraceReader &reader, const ShardedConfig &config,
+              size_t workers)
 {
     ShardedResult result;
     result.nodes = makeShardNodes(config);
-
-    const bool audit = defaultCheckInvariants();
-
-    // Per-shard accumulation: subrequests buffer until a shard's bin
-    // fills or a day ends, then hit that node as one processBatch.
-    // Each node still consumes exactly the subrequest stream the
-    // per-request driver would feed it, in the same order.
-    auto deliver = [&result](size_t shard,
-                             std::span<const trace::Request> reqs) {
-        result.nodes[shard]->processBatch(reqs);
-    };
-    RequestBatcher<decltype(deliver)> batcher(config.shards,
-                                              config.batch, deliver);
-
-    pumpBatches(
-        reader, config.batch,
-        [&](std::span<const trace::Request> slice) {
-            for (const trace::Request &req : slice)
-                forEachSubrequest(
-                    req, config.shards, config.seed,
-                    [&batcher](size_t shard, const trace::Request &sub) {
-                        batcher.add(shard, sub);
-                    });
-        },
-        [&](int day) {
-            batcher.flushAll();
-            for (auto &node : result.nodes)
-                node->finishDay(day);
-            if (audit)
-                result.checkInvariants();
-        });
-    batcher.flushAll();
-    for (auto &node : result.nodes)
-        node->finishTrace();
-    if (audit)
-        result.checkInvariants();
+    ReplayPlan plan;
+    plan.nodes = borrowNodes(result.nodes);
+    plan.route = Route::ByPage;
+    plan.seed = config.seed;
+    plan.batch = config.batch;
+    plan.workers = workers;
+    plan.queue_depth = config.parallel.queue_depth;
+    plan.audit = defaultCheckInvariants();
+    replay(reader, plan);
     return result;
+}
+
+} // namespace
+
+ShardedResult
+runSharded(trace::TraceReader &reader, const ShardedConfig &config)
+{
+    return replaySharded(reader, config, 0);
+}
+
+ShardedResult
+runShardedParallel(trace::TraceReader &reader,
+                   const ShardedConfig &config)
+{
+    const size_t threads = config.parallel.threads;
+    return replaySharded(reader, config,
+                         threads == 0 ? config.shards : threads);
 }
 
 } // namespace sim

@@ -12,7 +12,9 @@
  * O2), while request traffic and metastate divide ~evenly.
  *
  * Requests are split at 4 KB page granularity (a page never straddles
- * nodes, so page-coalesced SSD I/O accounting is preserved).
+ * nodes, so page-coalesced SSD I/O accounting is preserved). Both
+ * drivers are the replay engine of sim/driver.hpp with that split,
+ * runSharded without worker threads and runShardedParallel with them.
  */
 
 #ifndef SIEVESTORE_SIM_SHARDED_HPP
@@ -35,7 +37,7 @@ namespace sim {
  */
 inline constexpr size_t kQueueBatchRequests = 64;
 
-/** Options for the parallel replay engine (runShardedParallel). */
+/** Worker-thread options of runShardedParallel. */
 struct ParallelOptions
 {
     /**
@@ -51,16 +53,6 @@ struct ParallelOptions
      * requests regardless of batching.
      */
     size_t queue_depth = 4096;
-    /**
-     * Lockstep mode: calendar-day barriers hold every shard at the
-     * same epoch boundary, so cross-shard invariant audits (and any
-     * future cross-shard coordination) observe a consistent cut of
-     * the deployment. Per-node counters are bit-identical either way
-     * — shards share no block state, so each node's result is a pure
-     * function of its own subrequest stream — and turning this off
-     * only removes the barrier stalls (free-running workers).
-     */
-    bool deterministic = true;
 };
 
 /** Configuration for a sharded deployment. */
@@ -128,9 +120,8 @@ makeShardNodes(const ShardedConfig &config);
  * fn(shard, subrequest) for each run in block order. Latency is
  * inherited; each subrequest keeps its own interpolation span, which
  * approximates the original block completion times. Zero-length
- * requests produce no subrequests. This is the single splitting
- * routine used by both replay drivers: bit-identical sharded results
- * depend on serial and parallel agreeing on it exactly.
+ * requests produce no subrequests. replay()'s Route::ByPage, and so
+ * both sharded drivers, split with this routine alone.
  */
 template <typename Fn>
 void
@@ -158,7 +149,8 @@ forEachSubrequest(const trace::Request &req, size_t shards,
 }
 
 /**
- * Replay a trace through a sharded deployment. Requests are split into
+ * Replay a trace through a sharded deployment on the calling thread:
+ * replay() with Route::ByPage and no workers. Requests are split into
  * per-shard subrequests at page granularity; day boundaries fire on
  * every node.
  */
@@ -166,16 +158,13 @@ ShardedResult runSharded(trace::TraceReader &reader,
                          const ShardedConfig &config);
 
 /**
- * Parallel replay: one reader thread (the caller) partitions the
- * time-ordered trace into bounded SPSC queues (util/spsc_queue.hpp);
- * ParallelOptions::threads workers drive the per-shard appliances
- * through the same day-boundary/finishDay sequence the serial driver
- * issues. Because shards share no block state and every node consumes
- * exactly the subrequest/day-marker stream runSharded would feed it,
- * the per-node DailyReports are bit-identical to runSharded's (the
- * differential tests assert this field-for-field). In deterministic
- * mode, calendar-day barriers additionally hold the shards in epoch
- * lockstep so cross-shard invariant audits see a consistent cut.
+ * Parallel replay: runSharded with ParallelOptions::threads workers.
+ * The caller decodes and routes into one bounded SPSC queue per shard
+ * (util/spsc_queue.hpp); calendar-day barriers hold the shards in
+ * epoch lockstep. Every node consumes exactly the subrequest/day
+ * stream runSharded feeds it, so the per-node DailyReports are
+ * bit-identical to runSharded's (the differential tests assert this
+ * field-for-field).
  */
 ShardedResult runShardedParallel(trace::TraceReader &reader,
                                  const ShardedConfig &config);

@@ -9,51 +9,6 @@
 namespace sievestore {
 namespace stats {
 
-LinearHistogram::LinearHistogram(double lo_, double hi, size_t buckets)
-    : lo(lo_)
-{
-    if (buckets == 0)
-        util::fatal("LinearHistogram requires at least one bucket");
-    if (!(hi > lo_))
-        util::fatal("LinearHistogram requires hi > lo");
-    width = (hi - lo_) / static_cast<double>(buckets);
-    counts.assign(buckets, 0);
-}
-
-void
-LinearHistogram::add(double value)
-{
-    double idx = (value - lo) / width;
-    long i = static_cast<long>(std::floor(idx));
-    if (i < 0)
-        i = 0;
-    if (i >= static_cast<long>(counts.size()))
-        i = static_cast<long>(counts.size()) - 1;
-    ++counts[static_cast<size_t>(i)];
-    ++total;
-}
-
-double
-LinearHistogram::bucketLow(size_t i) const
-{
-    return lo + width * static_cast<double>(i);
-}
-
-double
-LinearHistogram::percentile(double fraction) const
-{
-    if (total == 0)
-        util::panic("LinearHistogram::percentile on empty histogram");
-    const double target = fraction * static_cast<double>(total);
-    uint64_t cum = 0;
-    for (size_t i = 0; i < counts.size(); ++i) {
-        cum += counts[i];
-        if (static_cast<double>(cum) >= target)
-            return bucketLow(i) + width;
-    }
-    return bucketLow(counts.size() - 1) + width;
-}
-
 void
 Log2Histogram::add(uint64_t value)
 {

@@ -18,48 +18,6 @@ namespace sievestore {
 namespace stats {
 
 /**
- * Fixed-width linear histogram over [lo, hi) with out-of-range samples
- * clamped into the first/last bucket.
- */
-class LinearHistogram
-{
-  public:
-    /**
-     * @param lo      inclusive lower bound
-     * @param hi      exclusive upper bound (> lo)
-     * @param buckets number of buckets (>= 1)
-     */
-    LinearHistogram(double lo, double hi, size_t buckets);
-
-    /** Record one sample. */
-    void add(double value);
-
-    /** Number of samples recorded. */
-    uint64_t count() const { return total; }
-
-    /** Sample count in bucket i. */
-    uint64_t bucketCount(size_t i) const { return counts.at(i); }
-
-    /** Inclusive lower edge of bucket i. */
-    double bucketLow(size_t i) const;
-
-    size_t buckets() const { return counts.size(); }
-
-    /**
-     * Smallest value v such that at least `fraction` of samples are
-     * <= v, resolved to a bucket upper edge. @pre 0 <= fraction <= 1 and
-     * count() > 0.
-     */
-    double percentile(double fraction) const;
-
-  private:
-    double lo;
-    double width;
-    std::vector<uint64_t> counts;
-    uint64_t total = 0;
-};
-
-/**
  * Power-of-two bucketed histogram of non-negative integers: bucket 0
  * holds value 0, bucket i >= 1 holds values in [2^(i-1), 2^i). Used for
  * access-count distributions whose range spans many decades

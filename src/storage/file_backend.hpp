@@ -109,7 +109,7 @@ class FileBackend final : public Backend
     // appliance drains synchronously); the submitter publishes it
     // under mu_ and every participant claims op indices under mu_
     // (the 4 KB syscall dominates, so the lock is never contended
-    // for long). See sim/sharded_parallel.cpp DayBarrier for the
+    // for long). See sim/replay.cpp DayBarrier for the
     // Mutex/condition_variable_any idiom.
     util::Mutex mu_;
     std::condition_variable_any work_cv_;

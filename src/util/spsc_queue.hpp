@@ -2,7 +2,7 @@
  * @file
  * Bounded lock-free single-producer / single-consumer queue.
  *
- * The parallel replay engine (sim/sharded_parallel.cpp) moves every
+ * The replay engine's worker path (sim/replay.cpp) moves every
  * request of a sharded trace from one reader thread to one worker per
  * shard; with millions of requests per simulated day the hand-off is a
  * hot path, so the queue is a wait-free ring buffer: one atomic store

@@ -80,7 +80,7 @@ namespace util {
  * is rejected by the analysis; this thin wrapper is the annotated
  * stand-in. Use with MutexLock (below); for condition-variable waits
  * pair it with std::condition_variable_any, which accepts any
- * lockable (see sim/sharded_parallel.cpp DayBarrier).
+ * lockable (see sim/replay.cpp DayBarrier).
  */
 class CAPABILITY("mutex") Mutex
 {

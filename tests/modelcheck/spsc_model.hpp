@@ -24,7 +24,7 @@
  *    precisely to forbid this order.
  *  - NoCloseRecheck: the consumer trusts one failed tryPop + closed
  *    flag and skips the final re-poll, losing items pushed between
- *    the two loads (the race the comment in sharded_parallel.cpp's
+ *    the two loads (the race the comment in sim/replay.cpp's
  *    pollShard documents).
  *  - NeverRefreshHeadCache: the producer never refreshes its cached
  *    consumer position, so a once-full ring looks full forever and

@@ -121,26 +121,6 @@ TEST(RandomBlock, AtLeastOneWhenAnySeen)
     EXPECT_EQ(sel.endOfEpoch().size(), 1u);
 }
 
-TEST(TopPercent, SelectsMostAccessed)
-{
-    TopPercentSelector sel(0.01);
-    for (BlockId b = 0; b < 200; ++b)
-        observeTimes(sel, b, b < 2 ? 100 : 1);
-    const auto chosen = sel.endOfEpoch();
-    ASSERT_EQ(chosen.size(), 2u);
-    EXPECT_TRUE((chosen[0] == 0 && chosen[1] == 1) ||
-                (chosen[0] == 1 && chosen[1] == 0));
-}
-
-TEST(TopPercent, EpochReset)
-{
-    TopPercentSelector sel(0.5);
-    observeTimes(sel, 1, 5);
-    observeTimes(sel, 2, 1);
-    EXPECT_EQ(sel.endOfEpoch().size(), 1u);
-    EXPECT_TRUE(sel.endOfEpoch().empty());
-}
-
 TEST(OracleDay, ServesDaySetsInSequence)
 {
     std::vector<std::vector<BlockId>> sets = {{1}, {2, 3}, {4}};
@@ -169,7 +149,6 @@ TEST(Selectors, ObserveBatchMatchesScalarObserve)
         std::vector<std::unique_ptr<DiscreteSelector>> all;
         all.push_back(std::make_unique<AdbaSelector>(3));
         all.push_back(std::make_unique<RandomBlockSelector>(0.2, 5));
-        all.push_back(std::make_unique<TopPercentSelector>(0.2));
         return all;
     };
     auto batched = makeAll();
@@ -199,7 +178,6 @@ TEST(Selectors, Names)
 {
     EXPECT_STREQ(AdbaSelector(10).name(), "SieveStore-D");
     EXPECT_STREQ(RandomBlockSelector().name(), "RandSieve-BlkD");
-    EXPECT_STREQ(TopPercentSelector().name(), "TopPercent-D");
     EXPECT_STREQ(OracleDaySelector({}, 0).name(), "Ideal");
 }
 

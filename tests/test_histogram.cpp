@@ -6,48 +6,12 @@
 #include <gtest/gtest.h>
 
 #include "stats/histogram.hpp"
-#include "util/logging.hpp"
 #include "util/random.hpp"
 
 namespace {
 
 using namespace sievestore::stats;
-using sievestore::util::FatalError;
 using sievestore::util::Rng;
-
-TEST(LinearHistogram, BucketsAndClamping)
-{
-    LinearHistogram h(0.0, 10.0, 10);
-    h.add(0.5);
-    h.add(9.5);
-    h.add(-3.0);  // clamps to first bucket
-    h.add(100.0); // clamps to last bucket
-    EXPECT_EQ(h.count(), 4u);
-    EXPECT_EQ(h.bucketCount(0), 2u);
-    EXPECT_EQ(h.bucketCount(9), 2u);
-    EXPECT_DOUBLE_EQ(h.bucketLow(3), 3.0);
-}
-
-TEST(LinearHistogram, PercentileMonotone)
-{
-    LinearHistogram h(0.0, 100.0, 100);
-    Rng rng(1);
-    for (int i = 0; i < 10000; ++i)
-        h.add(rng.nextDouble() * 100.0);
-    double prev = 0.0;
-    for (double f : {0.1, 0.25, 0.5, 0.75, 0.9, 0.99}) {
-        const double p = h.percentile(f);
-        EXPECT_GE(p, prev);
-        EXPECT_NEAR(p, f * 100.0, 3.0);
-        prev = p;
-    }
-}
-
-TEST(LinearHistogram, RejectsBadConstruction)
-{
-    EXPECT_THROW(LinearHistogram(0.0, 1.0, 0), FatalError);
-    EXPECT_THROW(LinearHistogram(1.0, 1.0, 4), FatalError);
-}
 
 TEST(Log2Histogram, BucketBoundaries)
 {

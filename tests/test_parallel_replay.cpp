@@ -1,16 +1,18 @@
 /**
  * @file
- * Differential tests for the parallel sharded replay engine.
+ * Differential tests for the replay engine's worker threads.
  *
- * The whole value of runShardedParallel rests on one claim: for every
- * configuration, every node's per-day accounting is *bit-identical*
- * to what the serial runSharded produces — a silent counter
- * divergence in a parallel driver would be a wrong paper claim, not
- * a crash. These tests sweep the policy roster × shard counts ×
- * generator seeds and compare every field of every DailyReport, plus
- * the summed totals, between the two drivers. Threading knobs
- * (fewer workers than shards, tiny queues forcing backpressure,
- * free-running mode) must not change a single bit either.
+ * runSharded and runShardedParallel are the same engine (sim::replay)
+ * without and with workers, and the worker path rests on one claim:
+ * for every configuration, every node's per-day accounting is
+ * *bit-identical* to what the calling-thread path produces — a silent
+ * counter divergence in a parallel driver would be a wrong paper
+ * claim, not a crash. These tests sweep the policy roster × shard
+ * counts × generator seeds and compare every field of every
+ * DailyReport, plus the summed totals, between the two drivers.
+ * Threading knobs (fewer workers than shards, tiny queues forcing
+ * backpressure, more threads than shards) must not change a single
+ * bit either.
  */
 
 #include <vector>
@@ -37,6 +39,8 @@ void
 expectReportEq(const DailyReport &serial, const DailyReport &parallel,
                const std::string &where)
 {
+    static_assert(sizeof(DailyReport) == 19 * sizeof(uint64_t),
+                  "a new DailyReport field needs a line below");
     EXPECT_EQ(serial.accesses, parallel.accesses) << where;
     EXPECT_EQ(serial.read_accesses, parallel.read_accesses) << where;
     EXPECT_EQ(serial.hits, parallel.hits) << where;
@@ -50,6 +54,21 @@ expectReportEq(const DailyReport &serial, const DailyReport &parallel,
     EXPECT_EQ(serial.ssd_read_ios, parallel.ssd_read_ios) << where;
     EXPECT_EQ(serial.ssd_write_ios, parallel.ssd_write_ios) << where;
     EXPECT_EQ(serial.ssd_alloc_ios, parallel.ssd_alloc_ios) << where;
+    EXPECT_EQ(serial.tune_t1, parallel.tune_t1) << where;
+    EXPECT_EQ(serial.tune_t2, parallel.tune_t2) << where;
+    EXPECT_EQ(serial.tune_switches, parallel.tune_switches) << where;
+    EXPECT_EQ(serial.storage_read_ios, parallel.storage_read_ios)
+        << where;
+    EXPECT_EQ(serial.storage_write_ios, parallel.storage_write_ios)
+        << where;
+    EXPECT_EQ(serial.storage_read_errors, parallel.storage_read_errors)
+        << where;
+    EXPECT_EQ(serial.storage_write_errors,
+              parallel.storage_write_errors)
+        << where;
+    EXPECT_EQ(serial.storage_read_ns, parallel.storage_read_ns) << where;
+    EXPECT_EQ(serial.storage_write_ns, parallel.storage_write_ns)
+        << where;
 }
 
 /**
@@ -147,16 +166,6 @@ TEST(ParallelReplay, TinyQueuesForceBackpressureNotDivergence)
     ShardedConfig cfg = makeConfig(PolicyKind::SieveStoreD, 4);
     cfg.parallel.queue_depth = 2; // constant full-queue stalls
     expectBitIdentical(gen, cfg, "queue_depth=2");
-}
-
-TEST(ParallelReplay, FreeRunningModeIsAlsoIdentical)
-{
-    // Counters cannot depend on the day barrier: shards share no
-    // block state, so lockstep is an observability feature only.
-    auto gen = makeGenerator(11, 65536.0);
-    ShardedConfig cfg = makeConfig(PolicyKind::SieveStoreC, 4);
-    cfg.parallel.deterministic = false;
-    expectBitIdentical(gen, cfg, "free-running");
 }
 
 TEST(ParallelReplay, OversubscribedThreadCountIsClamped)

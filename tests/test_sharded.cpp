@@ -5,11 +5,13 @@
  */
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "sim/driver.hpp"
+#include "sim/per_server.hpp"
 #include "sim/sharded.hpp"
 #include "storage/analytic_backend.hpp"
 #include "trace/synthetic.hpp"
@@ -136,32 +138,137 @@ TEST(Sharded, AccessesArePartitionedExactly)
     EXPECT_EQ(result.totals().accesses, 96u);
 }
 
-TEST(Sharded, SingleShardMatchesUnshardedAppliance)
+/** Every DailyReport field, day by day. */
+void
+expectSameDays(const std::vector<core::DailyReport> &want,
+               const std::vector<core::DailyReport> &got,
+               const std::string &label)
 {
-    SyntheticConfig scfg;
-    scfg.scale = 1.0 / 65536.0;
-    const auto ensemble = EnsembleConfig::paperEnsemble();
-    auto gen = SyntheticEnsembleGenerator::paper(ensemble, scfg);
+    static_assert(sizeof(core::DailyReport) == 19 * sizeof(uint64_t),
+                  "a new DailyReport field needs a line below");
+    ASSERT_EQ(want.size(), got.size()) << label << " day count";
+    for (size_t d = 0; d < want.size(); ++d) {
+        const core::DailyReport &w = want[d];
+        const core::DailyReport &g = got[d];
+        const std::string at = label + " day " + std::to_string(d);
+        EXPECT_EQ(w.accesses, g.accesses) << at;
+        EXPECT_EQ(w.read_accesses, g.read_accesses) << at;
+        EXPECT_EQ(w.hits, g.hits) << at;
+        EXPECT_EQ(w.read_hits, g.read_hits) << at;
+        EXPECT_EQ(w.write_hits, g.write_hits) << at;
+        EXPECT_EQ(w.allocation_write_blocks, g.allocation_write_blocks)
+            << at;
+        EXPECT_EQ(w.batch_moved_blocks, g.batch_moved_blocks) << at;
+        EXPECT_EQ(w.ssd_read_ios, g.ssd_read_ios) << at;
+        EXPECT_EQ(w.ssd_write_ios, g.ssd_write_ios) << at;
+        EXPECT_EQ(w.ssd_alloc_ios, g.ssd_alloc_ios) << at;
+        EXPECT_EQ(w.tune_t1, g.tune_t1) << at;
+        EXPECT_EQ(w.tune_t2, g.tune_t2) << at;
+        EXPECT_EQ(w.tune_switches, g.tune_switches) << at;
+        EXPECT_EQ(w.storage_read_ios, g.storage_read_ios) << at;
+        EXPECT_EQ(w.storage_write_ios, g.storage_write_ios) << at;
+        EXPECT_EQ(w.storage_read_errors, g.storage_read_errors) << at;
+        EXPECT_EQ(w.storage_write_errors, g.storage_write_errors) << at;
+        EXPECT_EQ(w.storage_read_ns, g.storage_read_ns) << at;
+        EXPECT_EQ(w.storage_write_ns, g.storage_write_ns) << at;
+    }
+}
 
-    ShardedConfig cfg = config(1);
-    cfg.node.cache_blocks = 4096;
-    const auto sharded = runSharded(gen, cfg);
-    gen.reset();
+/** One node's daily reports from each driver over the same trace. */
+struct OneNodeRuns
+{
+    std::vector<core::DailyReport> trace, sharded, parallel, per_server;
+};
 
+/**
+ * Replay `reqs` through runTrace, runSharded and runShardedParallel at
+ * one shard, and runPerServer with one server: four ways to build
+ * and feed the same single node.
+ */
+OneNodeRuns
+replayOneNode(const std::vector<Request> &reqs, PolicyKind kind)
+{
     PolicyConfig pc;
-    pc.kind = PolicyKind::AOD;
+    pc.kind = kind;
+    pc.sieve_c.imct_slots = 1 << 12;
     core::ApplianceConfig ac;
     ac.cache_blocks = 4096;
     ac.track_occupancy = false;
-    auto plain = makeAppliance(pc, ac);
-    runTrace(gen, *plain);
-    gen.reset();
 
-    // Identical accesses; hits may differ microscopically because
-    // request splitting (even into one shard the request stays whole)
-    // preserves everything — so demand exact equality.
-    EXPECT_EQ(sharded.totals().accesses, plain->totals().accesses);
-    EXPECT_EQ(sharded.totals().hits, plain->totals().hits);
+    OneNodeRuns runs;
+    VectorTrace trace(reqs);
+    const auto plain = makeAppliance(pc, ac);
+    runTrace(trace, *plain);
+    runs.trace = plain->daily();
+
+    ShardedConfig sc = config(1);
+    sc.policy = pc;
+    sc.node = ac;
+    trace.reset();
+    runs.sharded = runSharded(trace, sc).nodes.at(0)->daily();
+    trace.reset();
+    runs.parallel = runShardedParallel(trace, sc).nodes.at(0)->daily();
+
+    PerServerConfig psc;
+    psc.capacities_blocks = {ac.cache_blocks};
+    psc.policy = pc;
+    psc.base = ac;
+    trace.reset();
+    runs.per_server = runPerServer(trace, psc).per_server.at(0);
+    return runs;
+}
+
+TEST(Sharded, SingleShardMatchesUnshardedAppliance)
+{
+    // With one node and one server, no driver splits or reroutes a
+    // request: all four must feed that node runTrace's stream and
+    // day boundaries, so every report field matches day by day.
+    SyntheticConfig scfg;
+    scfg.scale = 1.0 / 65536.0;
+    auto gen = SyntheticEnsembleGenerator::paper(
+        EnsembleConfig::paperEnsemble(), scfg);
+    std::vector<Request> reqs = drain(gen);
+    for (Request &r : reqs)
+        r.server = 0;
+
+    for (const PolicyKind kind :
+         {PolicyKind::AOD, PolicyKind::SieveStoreC,
+          PolicyKind::SieveStoreD}) {
+        const std::string name = policyKindName(kind);
+        const OneNodeRuns runs = replayOneNode(reqs, kind);
+        ASSERT_GT(runs.trace.size(), 1u) << name;
+        EXPECT_GT(core::sumReports(runs.trace).hits, 0u) << name;
+        expectSameDays(runs.trace, runs.sharded, name + " runSharded");
+        expectSameDays(runs.trace, runs.parallel,
+                       name + " runShardedParallel");
+        expectSameDays(runs.trace, runs.per_server,
+                       name + " runPerServer");
+    }
+}
+
+TEST(Sharded, ZeroLengthRequestAloneOnTheLastDay)
+{
+    // runTrace and runPerServer hand a zero-length request to the
+    // node whole, which opens a report for its day; the page split
+    // drops it, so the sharded node never sees that day. Every driver
+    // still closes the days before it.
+    const std::vector<Request> reqs = {
+        makeRequest(makeTime(0, 1), 0, 64),
+        makeRequest(makeTime(1, 1), 0, 64),
+        makeRequest(makeTime(3, 1), 512, 0),
+    };
+    const OneNodeRuns runs = replayOneNode(reqs, PolicyKind::AOD);
+    ASSERT_EQ(runs.trace.size(), 4u);
+    EXPECT_EQ(runs.trace[1].hits, 64u);
+    expectSameDays({core::DailyReport{}, core::DailyReport{}},
+                   {runs.trace.begin() + 2, runs.trace.end()},
+                   "runTrace days 2-3");
+    expectSameDays(runs.trace, runs.per_server, "runPerServer");
+
+    const std::vector<core::DailyReport> before(runs.trace.begin(),
+                                                runs.trace.begin() + 2);
+    expectSameDays(before, runs.sharded, "runSharded");
+    expectSameDays(before, runs.parallel, "runShardedParallel");
 }
 
 TEST(Sharded, HitRatioStableAcrossShardCounts)
