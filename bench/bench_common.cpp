@@ -6,7 +6,6 @@
 #include <cstring>
 #include <iostream>
 
-#include "util/logging.hpp"
 #include "util/string_util.hpp"
 
 namespace sievestore {
@@ -18,6 +17,19 @@ namespace {
  * call site threading the options through helper functions. */
 bool g_suppress_notes = false;
 
+/** Bad command line: one line on stderr, exit status 2. */
+[[noreturn]] __attribute__((format(printf, 1, 2))) void
+usageError(const char *fmt, ...)
+{
+    va_list ap;
+    va_start(ap, fmt);
+    std::fputs("error: ", stderr);
+    std::vfprintf(stderr, fmt, ap);
+    va_end(ap);
+    std::fputs(" (try --help)\n", stderr);
+    std::exit(2);
+}
+
 } // namespace
 
 BenchOptions
@@ -28,23 +40,31 @@ BenchOptions::parse(int argc, char **argv)
         const std::string arg = argv[i];
         auto value = [&](const char *flag) -> const char * {
             if (i + 1 >= argc)
-                util::fatal("%s requires a value", flag);
+                usageError("%s requires a value", flag);
             return argv[++i];
         };
         if (arg == "--scale-denominator") {
-            opts.inv_scale = std::atof(value("--scale-denominator"));
-            if (opts.inv_scale < 1.0)
-                util::fatal("--scale-denominator must be >= 1");
+            const char *text = value("--scale-denominator");
+            if (!util::parseDouble(text, opts.inv_scale) ||
+                opts.inv_scale < 1.0)
+                usageError("--scale-denominator must be a number >= 1, "
+                           "got '%s'", text);
         } else if (arg == "--seed") {
-            opts.seed = std::strtoull(value("--seed"), nullptr, 0);
+            const char *text = value("--seed");
+            if (!util::parseUint64(text, opts.seed))
+                usageError("--seed must be an unsigned integer, got "
+                           "'%s'", text);
         } else if (arg == "--csv") {
             opts.csv = true;
         } else if (arg == "--json") {
             opts.json = true;
         } else if (arg == "--batch") {
-            opts.batch = std::strtoull(value("--batch"), nullptr, 0);
-            if (opts.batch == 0)
-                util::fatal("--batch must be >= 1");
+            const char *text = value("--batch");
+            uint64_t batch = 0;
+            if (!util::parseUint64(text, batch) || batch == 0)
+                usageError("--batch must be an integer >= 1, got '%s'",
+                           text);
+            opts.batch = batch;
         } else if (arg == "--sieve" ||
                    arg.rfind("--sieve=", 0) == 0) {
             const std::string name =
@@ -55,8 +75,8 @@ BenchOptions::parse(int argc, char **argv)
             else if (name == "adaptive")
                 opts.sieve_kind = sim::PolicyKind::Adaptive;
             else
-                util::fatal("--sieve must be 'sievestore-c' or "
-                            "'adaptive', got '%s'", name.c_str());
+                usageError("--sieve must be 'sievestore-c' or "
+                           "'adaptive', got '%s'", name.c_str());
         } else if (arg == "--help" || arg == "-h") {
             std::printf(
                 "options:\n"
@@ -73,7 +93,7 @@ BenchOptions::parse(int argc, char **argv)
                 "or 'adaptive' (online (t1,t2) tuning)\n");
             std::exit(0);
         } else {
-            util::fatal("unknown option '%s' (try --help)", arg.c_str());
+            usageError("unknown option '%s'", arg.c_str());
         }
     }
     g_suppress_notes = opts.json;

@@ -9,9 +9,10 @@
  * runShardedParallel (the one replay engine, sim::replay, without and
  * with worker threads; the day barrier always runs) at increasing
  * shard counts, reporting requests/second, speedup over serial, and
- * scaling efficiency (speedup / usable cores). The totals of every parallel run are
- * checked bit-identical to the serial run — throughput numbers from
- * a diverging driver would be meaningless. Rows whose threads (shard
+ * scaling efficiency (speedup / usable cores). Every parallel run's
+ * DailyReports are checked field for field, node by node and day by
+ * day, against the serial run's — throughput numbers from a
+ * diverging driver would be meaningless. Rows whose threads (shard
  * workers + the reader) outnumber the hardware threads are marked
  * oversubscribed: their speedup measures time-slicing, not scaling.
  */
@@ -20,6 +21,7 @@
 #include <cstdio>
 #include <iostream>
 #include <thread>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "sim/sharded.hpp"
@@ -38,6 +40,16 @@ secondsSince(std::chrono::steady_clock::time_point start)
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - start)
         .count();
+}
+
+/** Every node's DailyReports, day by day: what Identical compares. */
+std::vector<std::vector<core::DailyReport>>
+nodeDays(const sim::ShardedResult &result)
+{
+    std::vector<std::vector<core::DailyReport>> days;
+    for (const auto &node : result.nodes)
+        days.push_back(node->daily());
+    return days;
 }
 
 sim::ShardedConfig
@@ -96,14 +108,7 @@ main(int argc, char **argv)
         const auto parallel = runShardedParallel(tracev, cfg);
         const double parallel_s = secondsSince(start);
 
-        const auto st = serial.totals();
-        const auto pt = parallel.totals();
-        const bool identical =
-            st.accesses == pt.accesses && st.hits == pt.hits &&
-            st.allocation_write_blocks ==
-                pt.allocation_write_blocks &&
-            st.batch_moved_blocks == pt.batch_moved_blocks &&
-            st.ssd_alloc_ios == pt.ssd_alloc_ios;
+        const bool identical = nodeDays(serial) == nodeDays(parallel);
         SIEVE_CHECK(identical,
                     "parallel replay diverged from serial at %zu "
                     "shards",
@@ -158,8 +163,7 @@ main(int argc, char **argv)
     stats::Table sweep({"Batch", "Serial req/s", "Parallel req/s",
                         "Parallel vs batch=1", "Identical"});
     double parallel_b1 = 0.0;
-    uint64_t golden_hits = 0, golden_accesses = 0;
-    bool have_golden = false;
+    std::vector<std::vector<core::DailyReport>> golden;
     for (const size_t batch :
          {size_t(1), size_t(8), size_t(64), size_t(256)}) {
         sim::ShardedConfig cfg = shardedConfig(opts, sweep_shards);
@@ -177,20 +181,13 @@ main(int argc, char **argv)
         const auto parallel = runShardedParallel(tracev, cfg);
         const double parallel_s = secondsSince(start);
 
-        const auto st = serial.totals();
-        const auto pt = parallel.totals();
-        if (!have_golden) {
-            golden_hits = st.hits;
-            golden_accesses = st.accesses;
+        // Batch 1's serial run is the reference for every batch size.
+        if (golden.empty()) {
+            golden = nodeDays(serial);
             parallel_b1 = requests / parallel_s;
-            have_golden = true;
         }
-        const bool identical =
-            st.accesses == pt.accesses && st.hits == pt.hits &&
-            st.allocation_write_blocks ==
-                pt.allocation_write_blocks &&
-            st.ssd_alloc_ios == pt.ssd_alloc_ios &&
-            st.hits == golden_hits && st.accesses == golden_accesses;
+        const bool identical = nodeDays(serial) == golden &&
+                               nodeDays(parallel) == golden;
         SIEVE_CHECK(identical,
                     "batched replay diverged at batch %zu", batch);
         sweep.row()

@@ -3,8 +3,8 @@
  * Microbenchmarks (google-benchmark) for the storage backends: batched
  * read/write submit cost through the AnalyticBackend (the model echo,
  * which bounds the staging overhead every simulation now pays) and the
- * FileBackend engines (synchronous and worker-pool), plus the
- * appliance-side staging path end to end.
+ * FileBackend, with every op on the calling thread (the Sync rows,
+ * workers = 0) and through its worker pool (the Pool rows).
  *
  * Emitted as BENCH_storage.json by CI's perf-smoke job and compared
  * with scripts/bench_compare.py --allow-missing-baseline.
@@ -83,7 +83,6 @@ fileConfig(unsigned workers)
     storage::FileBackendConfig cfg;
     cfg.capacity_bytes = kPages * trace::kPageBytes;
     cfg.workers = workers;
-    cfg.engine = storage::FileBackendConfig::Engine::Sync;
     return cfg;
 }
 

@@ -12,7 +12,8 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
+#include <exception>
 #include <iostream>
 
 #include "sim/driver.hpp"
@@ -25,8 +26,19 @@ using namespace sievestore;
 
 int
 main(int argc, char **argv)
-{
-    const double inv_scale = argc > 1 ? std::atof(argv[1]) : 8192.0;
+try {
+    if (argc > 1 && (std::strcmp(argv[1], "--help") == 0 ||
+                     std::strcmp(argv[1], "-h") == 0)) {
+        std::printf("usage: capacity_planner [scale-denominator]\n");
+        return 0;
+    }
+    double inv_scale = 8192.0;
+    if (argc > 2 || (argc == 2 && (!util::parseDouble(argv[1], inv_scale) ||
+                                   inv_scale < 1.0))) {
+        std::fprintf(stderr, "capacity_planner: expected one scale "
+                             "denominator >= 1 (try --help)\n");
+        return 2;
+    }
     const auto ensemble = trace::EnsembleConfig::paperEnsemble();
     trace::SyntheticConfig workload;
     workload.scale = 1.0 / inv_scale;
@@ -100,4 +112,7 @@ main(int argc, char **argv)
                 "allocation-writes — the Section 5.1 sensitivity "
                 "story]\n");
     return 0;
+} catch (const std::exception &e) {
+    std::fprintf(stderr, "capacity_planner: %s\n", e.what());
+    return 1;
 }

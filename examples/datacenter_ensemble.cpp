@@ -18,7 +18,8 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
+#include <exception>
 #include <iostream>
 #include <memory>
 
@@ -35,8 +36,24 @@ using namespace sievestore;
 
 int
 main(int argc, char **argv)
-{
-    const double inv_scale = argc > 1 ? std::atof(argv[1]) : 8192.0;
+try {
+    if (argc > 1 && (std::strcmp(argv[1], "--help") == 0 ||
+                     std::strcmp(argv[1], "-h") == 0)) {
+        std::printf("usage: datacenter_ensemble [scale-denominator] "
+                    "[threads]\n");
+        return 0;
+    }
+    double inv_scale = 8192.0;
+    uint64_t threads = 4;
+    if (argc > 3 ||
+        (argc > 1 && (!util::parseDouble(argv[1], inv_scale) ||
+                      inv_scale < 1.0)) ||
+        (argc > 2 && !util::parseUint64(argv[2], threads))) {
+        std::fprintf(stderr, "datacenter_ensemble: expected a scale "
+                             "denominator >= 1 and a thread count "
+                             "(try --help)\n");
+        return 2;
+    }
     std::printf("SieveStore datacenter evaluation: 13 servers, one "
                 "week, 1/%.0f of the paper's traffic\n\n",
                 inv_scale);
@@ -147,12 +164,10 @@ main(int argc, char **argv)
                 "drive.\n");
 
     // Scale-out: shard the block space across 4 appliance nodes and
-    // replay them in parallel (Section 7 direction; ISSUE 2).
-    const size_t threads =
-        argc > 2 ? static_cast<size_t>(std::atoi(argv[2])) : 4;
+    // replay them in parallel (Section 7 direction).
     std::printf("\nScale-out: 4 appliance nodes, parallel replay "
                 "with %zu worker threads:\n",
-                threads);
+                static_cast<size_t>(threads));
     {
         sim::ShardedConfig scfg;
         scfg.shards = 4;
@@ -204,4 +219,7 @@ main(int argc, char **argv)
                     elapsed.count(), sharded.loadImbalance());
     }
     return 0;
+} catch (const std::exception &e) {
+    std::fprintf(stderr, "datacenter_ensemble: %s\n", e.what());
+    return 1;
 }

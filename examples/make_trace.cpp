@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -24,15 +25,26 @@
 #include "trace/msr_csv.hpp"
 #include "trace/synthetic.hpp"
 #include "trace/trace_stats.hpp"
-#include "util/logging.hpp"
 #include "util/string_util.hpp"
 
 using namespace sievestore;
 namespace fs = std::filesystem;
 
+namespace {
+
+/** Bad command line: one line on stderr, exit status 2. */
+[[noreturn]] void
+usageError(const std::string &msg)
+{
+    std::fprintf(stderr, "make_trace: %s (try --help)\n", msg.c_str());
+    std::exit(2);
+}
+
+} // namespace
+
 int
 main(int argc, char **argv)
-{
+try {
     std::string out_binary;
     std::string msr_dir;
     trace::SyntheticConfig cfg;
@@ -40,27 +52,37 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto value = [&](const char *flag) -> const char * {
+        auto value = [&]() -> const char * {
             if (i + 1 >= argc)
-                util::fatal("%s requires a value", flag);
+                usageError(arg + " requires a value");
             return argv[++i];
         };
         if (arg == "--out") {
-            out_binary = value("--out");
+            out_binary = value();
         } else if (arg == "--msr-dir") {
-            msr_dir = value("--msr-dir");
+            msr_dir = value();
         } else if (arg == "--scale-denominator") {
-            cfg.scale = 1.0 / std::atof(value("--scale-denominator"));
+            const char *text = value();
+            double inv_scale = 0.0;
+            if (!util::parseDouble(text, inv_scale) || inv_scale < 1.0)
+                usageError("--scale-denominator must be a number >= 1, "
+                           "got '" + std::string(text) + "'");
+            cfg.scale = 1.0 / inv_scale;
         } else if (arg == "--seed") {
-            cfg.seed = std::strtoull(value("--seed"), nullptr, 0);
-        } else {
+            const char *text = value();
+            if (!util::parseUint64(text, cfg.seed))
+                usageError("--seed must be an unsigned integer, got '" +
+                           std::string(text) + "'");
+        } else if (arg == "--help" || arg == "-h") {
             std::printf("usage: make_trace (--out FILE | --msr-dir DIR)"
                         " [--scale-denominator N] [--seed S]\n");
-            return arg == "--help" || arg == "-h" ? 0 : 1;
+            return 0;
+        } else {
+            usageError("unknown option '" + arg + "'");
         }
     }
     if (out_binary.empty() && msr_dir.empty())
-        util::fatal("choose an output: --out FILE or --msr-dir DIR");
+        usageError("choose an output: --out FILE or --msr-dir DIR");
 
     const auto ensemble = trace::EnsembleConfig::paperEnsemble();
     auto gen = trace::SyntheticEnsembleGenerator::paper(ensemble, cfg);
@@ -113,4 +135,7 @@ main(int argc, char **argv)
                 util::formatCount(stats.total_block_accesses).c_str(),
                 util::formatBytes(stats.total_bytes).c_str());
     return 0;
+} catch (const std::exception &e) {
+    std::fprintf(stderr, "make_trace: %s\n", e.what());
+    return 1;
 }

@@ -18,6 +18,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -67,12 +68,23 @@ fabricateSampleCsvs(const trace::EnsembleConfig &ensemble,
 
 int
 main(int argc, char **argv)
-{
+try {
     const auto ensemble = trace::EnsembleConfig::paperEnsemble();
 
+    if (argc > 1 && (std::strcmp(argv[1], "--help") == 0 ||
+                     std::strcmp(argv[1], "-h") == 0)) {
+        std::printf("usage: trace_replay [--dir DIR]\n");
+        return 0;
+    }
+    const bool have_dir = argc == 3 && std::strcmp(argv[1], "--dir") == 0;
+    if (argc > 1 && !have_dir) {
+        std::fprintf(stderr, "trace_replay: usage: trace_replay "
+                             "[--dir DIR]\n");
+        return 2;
+    }
     fs::path dir;
     bool fabricated = false;
-    if (argc >= 3 && std::strcmp(argv[1], "--dir") == 0) {
+    if (have_dir) {
         dir = argv[2];
     } else {
         dir = fs::temp_directory_path() / "sievestore-sample-msr";
@@ -123,4 +135,7 @@ main(int argc, char **argv)
         std::printf("\n(point --dir at the real MSR Cambridge CSVs to "
                     "replay them instead)\n");
     return 0;
+} catch (const std::exception &e) {
+    std::fprintf(stderr, "trace_replay: %s\n", e.what());
+    return 1;
 }

@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -23,7 +24,6 @@
 #include "trace/merge.hpp"
 #include "trace/msr_csv.hpp"
 #include "trace/trace_stats.hpp"
-#include "util/logging.hpp"
 #include "util/sim_time.hpp"
 #include "util/string_util.hpp"
 
@@ -31,18 +31,23 @@ using namespace sievestore;
 
 int
 main(int argc, char **argv)
-{
-    if (argc < 2) {
-        std::printf("usage: trace_stats FILE.sstr | --msr FILE.csv...\n");
-        return 1;
+try {
+    const char *usage = "usage: trace_stats FILE.sstr | --msr FILE.csv...";
+    if (argc > 1 && (std::strcmp(argv[1], "--help") == 0 ||
+                     std::strcmp(argv[1], "-h") == 0)) {
+        std::printf("%s\n", usage);
+        return 0;
+    }
+    const bool msr = argc > 1 && std::strcmp(argv[1], "--msr") == 0;
+    if (argc < 2 || (msr && argc < 3) || (!msr && argc > 2)) {
+        std::fprintf(stderr, "trace_stats: %s\n", usage);
+        return 2;
     }
 
     std::unique_ptr<trace::TraceReader> reader;
     const auto ensemble = trace::EnsembleConfig::paperEnsemble();
-    if (std::strcmp(argv[1], "--msr") == 0) {
+    if (msr) {
         const std::vector<std::string> paths(argv + 2, argv + argc);
-        if (paths.empty())
-            util::fatal("--msr requires at least one CSV file");
         // One clock for every file: the midnight before the earliest
         // record.
         const uint64_t origin = trace::msrSharedOrigin(paths, ensemble);
@@ -102,4 +107,7 @@ main(int argc, char **argv)
     std::printf("\n(O1 landmarks: top-1%% share 14-53%%, count at the "
                 "1%% rank ~10, ~50%% singletons)\n");
     return 0;
+} catch (const std::exception &e) {
+    std::fprintf(stderr, "trace_stats: %s\n", e.what());
+    return 1;
 }

@@ -70,7 +70,7 @@ their call sites, and proves three project claims statically:
                    engine follows explicit data flow only — control
                    dependence (a branch on measured data steering
                    clean values) is out of scope and covered
-                   dynamically by sim::runStorageDifferential; see
+                   dynamically by test_storage_differential; see
                    DESIGN.md section 14.
 
 Backends: the default 'text' backend is dependency-free and parses C++

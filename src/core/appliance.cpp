@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <functional>
 
-#include "trace/expand.hpp"
+#include "trace/request.hpp"
 #include "util/alloc_guard.hpp"
 #include "util/check.hpp"
 #include "util/logging.hpp"

@@ -154,6 +154,8 @@ struct DailyReport
 
     /** Field-wise accumulation (whole-trace totals, shard merges). */
     void add(const DailyReport &other);
+    /** Every field equal (determinism checks). */
+    bool operator==(const DailyReport &) const = default;
 
     uint64_t misses() const { return accesses - hits; }
     double

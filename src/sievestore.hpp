@@ -26,7 +26,6 @@
 #include "trace/binary_trace.hpp"
 #include "trace/block.hpp"
 #include "trace/ensemble.hpp"
-#include "trace/expand.hpp"
 #include "trace/merge.hpp"
 #include "trace/msr_csv.hpp"
 #include "trace/request.hpp"
@@ -49,7 +48,6 @@
 // storage: pluggable device backends behind the analytic model
 #include "storage/analytic_backend.hpp"
 #include "storage/backend.hpp"
-#include "storage/fault_backend.hpp"
 #include "storage/file_backend.hpp"
 
 // cache: the block-cache substrate
@@ -77,6 +75,5 @@
 #include "sim/experiment.hpp"
 #include "sim/per_server.hpp"
 #include "sim/sharded.hpp"
-#include "sim/storage_diff.hpp"
 
 #endif // SIEVESTORE_SIEVESTORE_HPP

@@ -11,12 +11,12 @@
  * own service times (bit-deterministic, no syscalls); the
  * FileBackend performs real O_DIRECT block I/O and reports measured
  * latencies. Divergence between the two on the same trace is the
- * model-validation signal (sim::runStorageDifferential).
+ * model-validation signal.
  *
  * Contract: backends observe, they never decide. No sieve, cache, or
- * eviction decision may depend on a backend's answer — the
- * differential suite pins model-side DailyReport fields bit-identical
- * across backends.
+ * eviction decision may depend on a backend's answer — the storage
+ * differential (test_storage_differential) pins model-side
+ * DailyReport fields bit-identical across backends.
  */
 
 #ifndef SIEVESTORE_STORAGE_BACKEND_HPP
@@ -77,8 +77,6 @@ struct BackendStats
 {
     /** True when the data path opened its file with O_DIRECT. */
     bool direct_io = false;
-    /** True when the io_uring submission path is active. */
-    bool io_uring = false;
     // Every counter below is device-observed (sieve-flow taint
     // source): reads of these fields carry measured taint and may
     // reach reports only, never a sieve/cache/eviction decision.
@@ -149,14 +147,14 @@ class Backend
     BackendStats stats_;
 };
 
-/** Engine selection for ApplianceConfig::backend. */
+/** Backend selection for ApplianceConfig::backend. */
 enum class BackendKind
 {
     /** No backend: the appliance skips op emission entirely. */
     None,
     /** Model-echo backend: deterministic SsdModel service times. */
     Analytic,
-    /** Real block file: O_DIRECT + worker pool (or io_uring). */
+    /** Real block file: O_DIRECT + pread/pwrite worker pool. */
     File,
 };
 
@@ -169,31 +167,14 @@ struct FileBackendConfig
     /** Store size in bytes; 0 derives it from the cache capacity. */
     uint64_t capacity_bytes = 0;
     /** I/O worker threads; 0 runs every op on the submitting
-     * thread (the always-built fallback path). */
+     * thread. */
     unsigned workers = 2;
-    /** Submission engine. Auto prefers io_uring when the build and
-     * kernel support it, else the worker pool. The environment
-     * variable SIEVE_STORAGE_ENGINE=sync|uring|auto overrides. */
-    enum class Engine
-    {
-        Auto,
-        Uring,
-        Sync
-    } engine = Engine::Auto;
-    /** io_uring submission-queue depth. */
-    unsigned ring_depth = 64;
 };
 
 /** Backend selection carried by core::ApplianceConfig. */
 struct BackendConfig
 {
-#if defined(SIEVE_STORAGE_DEFAULT_FILE)
-    BackendKind kind = BackendKind::File;
-#elif defined(SIEVE_STORAGE_DEFAULT_NONE)
-    BackendKind kind = BackendKind::None;
-#else
     BackendKind kind = BackendKind::Analytic;
-#endif
     FileBackendConfig file;
     /**
      * Custom backend factory; when set it overrides `kind`. Mirrors

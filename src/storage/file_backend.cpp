@@ -9,10 +9,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#ifdef SIEVE_HAVE_LIBURING
-#include <liburing.h>
-#endif
-
 #include "util/flow_annotations.hpp"
 #include "util/hashing.hpp"
 #include "util/logging.hpp"
@@ -76,21 +72,6 @@ allocAligned()
     return buf;
 }
 
-/** Engine requested after the SIEVE_STORAGE_ENGINE override. */
-FileBackendConfig::Engine
-resolveEngine(FileBackendConfig::Engine configured)
-{
-    // sieve-lint: allow(env-knob) io_uring may be built yet unusable
-    const char *env = std::getenv("SIEVE_STORAGE_ENGINE");
-    if (env == nullptr)
-        return configured;
-    if (std::strcmp(env, "sync") == 0)
-        return FileBackendConfig::Engine::Sync;
-    if (std::strcmp(env, "uring") == 0)
-        return FileBackendConfig::Engine::Uring;
-    return FileBackendConfig::Engine::Auto;
-}
-
 } // namespace
 
 FileBackend::FileBackend(const FileBackendConfig &config)
@@ -124,29 +105,15 @@ FileBackend::FileBackend(const FileBackendConfig &config)
                     static_cast<unsigned long long>(slots_),
                     std::strerror(errno));
 
-    // --- engine -------------------------------------------------------
-    const FileBackendConfig::Engine engine =
-        resolveEngine(config.engine);
-#ifdef SIEVE_HAVE_LIBURING
-    if (engine != FileBackendConfig::Engine::Sync)
-        use_uring_ = initUring(std::max(1u, config.ring_depth));
-#endif
-    stats_.io_uring = use_uring_;
-    if (engine == FileBackendConfig::Engine::Uring && !use_uring_)
-        util::warn("storage: io_uring requested but unavailable; "
-                   "using the worker-pool fallback");
-
+    // --- workers ------------------------------------------------------
     submit_buf_ = allocAligned();
-    if (!use_uring_) {
-        const unsigned n = std::min(config.workers, 8u);
-        threads_.reserve(n);
-        worker_bufs_.reserve(n);
-        for (unsigned i = 0; i < n; ++i) {
-            void *buf = allocAligned();
-            worker_bufs_.push_back(buf);
-            threads_.emplace_back(
-                [this, buf]() { workerLoop(buf); });
-        }
+    const unsigned n = std::min(config.workers, 8u);
+    threads_.reserve(n);
+    worker_bufs_.reserve(n);
+    for (unsigned i = 0; i < n; ++i) {
+        void *buf = allocAligned();
+        worker_bufs_.push_back(buf);
+        threads_.emplace_back([this, buf]() { workerLoop(buf); });
     }
 }
 
@@ -162,13 +129,6 @@ FileBackend::~FileBackend()
     for (void *buf : worker_bufs_)
         std::free(buf);
     std::free(submit_buf_);
-#ifdef SIEVE_HAVE_LIBURING
-    if (uring_ != nullptr) {
-        io_uring_queue_exit(static_cast<struct io_uring *>(uring_));
-        delete static_cast<struct io_uring *>(uring_);
-        std::free(ring_bufs_);
-    }
-#endif
     if (fd_ >= 0)
         ::close(fd_);
 }
@@ -284,15 +244,8 @@ FileBackend::run(std::span<const StorageOp> ops,
 {
     if (ops.empty())
         return;
-#ifdef SIEVE_HAVE_LIBURING
-    if (use_uring_) {
-        runUring(ops, lat_ns, is_write);
-    } else
-#endif
-        if (threads_.empty()) {
-        // Fully synchronous fallback (workers = 0): every op on the
-        // calling thread. Always built, exercised by CI via
-        // SIEVE_STORAGE_ENGINE=sync + workers=0 configs.
+    if (threads_.empty()) {
+        // workers = 0: every op on the calling thread.
         for (size_t i = 0; i < ops.size(); ++i)
             lat_ns[i] = is_write ? doWrite(ops[i], submit_buf_)
                                  : doRead(ops[i], submit_buf_);
@@ -345,82 +298,6 @@ FileBackend::checkInvariants() const
                 "%zu worker threads but %zu worker buffers",
                 threads_.size(), worker_bufs_.size());
 }
-
-#ifdef SIEVE_HAVE_LIBURING
-
-SIEVE_MAY_ALLOC bool
-FileBackend::initUring(unsigned depth)
-{
-    auto *ring = new struct io_uring;
-    if (io_uring_queue_init(depth, ring, 0) < 0) {
-        // Kernel without io_uring (or seccomp-filtered): fall back.
-        delete ring;
-        return false;
-    }
-    void *bufs = nullptr;
-    if (posix_memalign(&bufs, trace::kPageBytes,
-                       static_cast<size_t>(depth) *
-                           trace::kPageBytes) != 0) {
-        io_uring_queue_exit(ring);
-        delete ring;
-        return false;
-    }
-    std::memset(bufs, 0,
-                static_cast<size_t>(depth) * trace::kPageBytes);
-    uring_ = ring;
-    ring_depth_ = depth;
-    ring_bufs_ = static_cast<char *>(bufs);
-    return true;
-}
-
-void
-FileBackend::runUring(std::span<const StorageOp> ops,
-                      std::span<uint32_t> lat_ns, bool is_write)
-{
-    auto *ring = static_cast<struct io_uring *>(uring_);
-    for (size_t base = 0; base < ops.size();
-         base += ring_depth_) {
-        const unsigned n = static_cast<unsigned>(std::min<size_t>(
-            ring_depth_, ops.size() - base));
-        // Pre-fail the wave; successful completions overwrite, so a
-        // lost sqe or unreaped cqe is counted as an error, not junk.
-        for (unsigned i = 0; i < n; ++i)
-            lat_ns[base + i] = kFailedOp;
-        const uint64_t t0 = nowNs();
-        unsigned queued = 0;
-        for (unsigned i = 0; i < n; ++i) {
-            struct io_uring_sqe *sqe = io_uring_get_sqe(ring);
-            if (sqe == nullptr)
-                continue; // SQ unexpectedly full: op stays failed
-            char *buf = ring_bufs_ +
-                        static_cast<size_t>(i) * trace::kPageBytes;
-            const auto off = static_cast<uint64_t>(
-                slotOffset(ops[base + i]));
-            if (is_write)
-                io_uring_prep_write(sqe, fd_, buf,
-                                    trace::kPageBytes, off);
-            else
-                io_uring_prep_read(sqe, fd_, buf,
-                                   trace::kPageBytes, off);
-            io_uring_sqe_set_data64(sqe, base + i);
-            ++queued;
-        }
-        const int submitted =
-            io_uring_submit_and_wait(ring, queued);
-        for (int k = 0; k < submitted; ++k) {
-            struct io_uring_cqe *cqe = nullptr;
-            if (io_uring_wait_cqe(ring, &cqe) < 0 || cqe == nullptr)
-                break;
-            const uint64_t idx = io_uring_cqe_get_data64(cqe);
-            if (idx >= base && idx < base + n &&
-                cqe->res == static_cast<int>(trace::kPageBytes))
-                lat_ns[idx] = clampLatency(nowNs() - t0);
-            io_uring_cqe_seen(ring, cqe);
-        }
-    }
-}
-
-#endif // SIEVE_HAVE_LIBURING
 
 } // namespace storage
 } // namespace sievestore

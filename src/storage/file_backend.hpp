@@ -11,18 +11,12 @@
  * device behavior of the access pattern: alignment, queue depth, and
  * per-op latency.
  *
- * Two submission engines:
+ * One submission engine: N worker threads draining a shared batch
+ * through pread/pwrite on 4 KB-aligned per-thread buffers, the
+ * submitting thread participating. workers=0 serves every op on the
+ * calling thread.
  *
- *  - worker pool (always built): N threads draining a shared batch
- *    through pread/pwrite on 4 KB-aligned per-thread buffers, the
- *    submitting thread participating. workers=0 degrades to a fully
- *    synchronous loop on the caller — the fallback CI exercises even
- *    on io_uring-capable hosts (SIEVE_STORAGE_ENGINE=sync).
- *  - io_uring (when liburing is found at configure time and the
- *    kernel accepts ring setup): batches are submitted ring_depth at
- *    a time from the calling thread.
- *
- * Setup (file creation, buffer allocation, thread/ring start) is the
+ * Setup (file creation, buffer allocation, thread start) is the
  * only SIEVE_MAY_ALLOC surface; the submit paths are allocation-free
  * so the appliance's batch-level AllocGuard regions stay armed
  * across a drain.
@@ -46,7 +40,7 @@ namespace storage {
 class FileBackend final : public Backend
 {
   public:
-    /** Opens (or creates) the store and starts the engine.
+    /** Opens (or creates) the store and starts the workers.
      * SIEVE_MAY_ALLOC: all allocation happens here, before any
      * appliance no-alloc region can reach the backend. */
     SIEVE_MAY_ALLOC explicit FileBackend(const FileBackendConfig &config);
@@ -67,15 +61,14 @@ class FileBackend final : public Backend
 
     /** Number of 4 KB slots in the store. */
     uint64_t slots() const { return slots_; }
-    /** Worker threads serving the pool engine (0 = caller-inline). */
-    size_t workerThreads() const { return threads_.size(); }
 
   private:
-    /** Dispatch a batch through the active engine, then fold the
-     * per-op results into the stats counters. */
+    /** Serve a batch (inline, or through the pool when there are
+     * workers), then fold the per-op results into the stats
+     * counters. */
     void run(std::span<const StorageOp> ops, std::span<uint32_t> lat_ns,
              bool is_write);
-    /** Worker-pool engine: publish the batch, participate, wait. */
+    /** Worker pool: publish the batch, participate, wait. */
     void runPool(std::span<const StorageOp> ops,
                  std::span<uint32_t> lat_ns, bool is_write);
     /** Claim-and-serve loop shared by workers and the submitter. */
@@ -88,21 +81,10 @@ class FileBackend final : public Backend
     /** Byte offset of the op's direct-mapped slot. */
     uint64_t slotOffset(const StorageOp &op) const;
 
-#ifdef SIEVE_HAVE_LIBURING
-    /** io_uring engine: submit up to ring_depth ops per wave. */
-    void runUring(std::span<const StorageOp> ops,
-                  std::span<uint32_t> lat_ns, bool is_write);
-    bool initUring(unsigned depth);
-    void *uring_ = nullptr; ///< struct io_uring, opaque here
-    unsigned ring_depth_ = 0;
-    char *ring_bufs_ = nullptr; ///< ring_depth 4 KB aligned buffers
-#endif
-
     int fd_ = -1;
     uint64_t slots_ = 0;
-    bool use_uring_ = false;
 
-    /** Submitter's own aligned 4 KB buffer (pool + sync engines). */
+    /** Submitter's own aligned 4 KB buffer. */
     void *submit_buf_ = nullptr;
 
     // Worker-pool state: one batch is in flight at a time (the

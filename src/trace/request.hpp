@@ -4,8 +4,8 @@
  *
  * A request is what the traces record: a multi-block read or write issued
  * by one server to one volume, with an issue timestamp and a measured
- * latency. Cache simulation operates on the per-block expansion of
- * requests (see expand.hpp).
+ * latency. Cache simulation operates on the blocks of each request,
+ * each with its interpolated completion time.
  */
 
 #ifndef SIEVESTORE_TRACE_REQUEST_HPP
@@ -14,6 +14,7 @@
 #include <cstdint>
 
 #include "trace/block.hpp"
+#include "util/logging.hpp"
 #include "util/sim_time.hpp"
 
 namespace sievestore {
@@ -63,6 +64,24 @@ struct Request
     /** Total bytes transferred. */
     uint64_t bytes() const { return uint64_t(length_blocks) * kBlockBytes; }
 };
+
+/**
+ * Interpolated completion time of block i (0-based) of a request
+ * covering n blocks: issue + (i+1)/n of the latency, so the last block
+ * completes exactly at the request's completion time.
+ */
+inline util::TimeUs
+interpolatedCompletion(const Request &req, uint32_t i)
+{
+    const uint32_t n = req.length_blocks;
+    if (i >= n)
+        util::panic("interpolatedCompletion: block index %u of %u", i, n);
+    // (i + 1) / n of the latency, in integer arithmetic; monotone in i
+    // and equal to the full latency for the last block.
+    const uint64_t frac =
+        (static_cast<uint64_t>(req.latency_us) * (i + 1)) / n;
+    return req.time + frac;
+}
 
 /** Strict-weak ordering by issue time (ties broken deterministically). */
 inline bool

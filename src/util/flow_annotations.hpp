@@ -3,9 +3,9 @@
  * Taint-flow annotations for the observe-never-decide storage
  * contract (read by scripts/sieve_analyze.py --flow).
  *
- * PR 8's storage layer put a real block store behind every analytic
+ * The storage layer puts a real block store behind every analytic
  * SSD charge under a strict contract: backends *observe*, they never
- * *decide*. The dynamic enforcement is sim::runStorageDifferential
+ * *decide*. The dynamic enforcement is test_storage_differential
  * (bit-identity of model-side fields across backends on a replay);
  * these annotations make the same contract provable statically, for
  * every path the analyzer can see rather than just the paths a replay

@@ -1,7 +1,10 @@
 #include "util/string_util.hpp"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 namespace sievestore {
 namespace util {
@@ -50,6 +53,32 @@ formatCount(uint64_t value)
             out.push_back(',');
     }
     return out;
+}
+
+bool
+parseDouble(const char *text, double &out)
+{
+    char *end = nullptr;
+    errno = 0;
+    const double value = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno == ERANGE ||
+        !std::isfinite(value))
+        return false;
+    out = value;
+    return true;
+}
+
+bool
+parseUint64(const char *text, uint64_t &out)
+{
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long value = std::strtoull(text, &end, 0);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || errno == ERANGE)
+        return false;
+    out = value;
+    return true;
 }
 
 } // namespace util

@@ -1,22 +1,7 @@
-#include "trace/expand.hpp"
-
-#include "util/logging.hpp"
+#include "support/expand.hpp"
 
 namespace sievestore {
 namespace trace {
-
-util::TimeUs
-interpolatedCompletion(const Request &req, uint32_t i)
-{
-    const uint32_t n = req.length_blocks;
-    if (i >= n)
-        util::panic("interpolatedCompletion: block index %u of %u", i, n);
-    // (i + 1) / n of the latency, in integer arithmetic; monotone in i
-    // and equal to the full latency for the last block.
-    const uint64_t frac =
-        (static_cast<uint64_t>(req.latency_us) * (i + 1)) / n;
-    return req.time + frac;
-}
 
 void
 expandRequest(const Request &req, std::vector<BlockAccess> &out)

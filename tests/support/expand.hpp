@@ -1,17 +1,18 @@
 /**
  * @file
- * Request-to-block expansion with completion-time interpolation.
+ * Request-to-block expansion: one BlockAccess per covered block.
  *
- * The cache simulator consumes individual 512-byte BlockAccesses. A
- * multi-block request is expanded into one access per block; each block's
- * completion time is linearly interpolated between the request's issue
- * and completion times (Section 4 of the paper). Allocation of a missed
- * block can only start once its data has been fetched, i.e. at the
- * interpolated completion time.
+ * The appliance walks a request's blocks in place and never
+ * materializes this expansion; it needs only
+ * trace::interpolatedCompletion (trace/request.hpp), each block's
+ * completion time linearly interpolated between the request's issue
+ * and completion times (Section 4 of the paper). expandRequest and
+ * BlockAccessStream are test support: test_expand checks the
+ * interpolation through them.
  */
 
-#ifndef SIEVESTORE_TRACE_EXPAND_HPP
-#define SIEVESTORE_TRACE_EXPAND_HPP
+#ifndef SIEVESTORE_TESTS_SUPPORT_EXPAND_HPP
+#define SIEVESTORE_TESTS_SUPPORT_EXPAND_HPP
 
 #include <vector>
 
@@ -20,13 +21,6 @@
 
 namespace sievestore {
 namespace trace {
-
-/**
- * Interpolated completion time of block i (0-based) of a request
- * covering n blocks: issue + (i+1)/n of the latency, so the last block
- * completes exactly at the request's completion time.
- */
-util::TimeUs interpolatedCompletion(const Request &req, uint32_t i);
 
 /** Expand a request, appending one BlockAccess per covered block. */
 void expandRequest(const Request &req, std::vector<BlockAccess> &out);
@@ -63,4 +57,4 @@ class BlockAccessStream
 } // namespace trace
 } // namespace sievestore
 
-#endif // SIEVESTORE_TRACE_EXPAND_HPP
+#endif // SIEVESTORE_TESTS_SUPPORT_EXPAND_HPP

@@ -1,4 +1,4 @@
-#include "storage/fault_backend.hpp"
+#include "support/fault_backend.hpp"
 
 #include "util/check.hpp"
 

@@ -15,10 +15,13 @@
  *
  * All schedules are counter-based (fail every Nth op, fail from op K
  * of each batch), so runs are reproducible without a seed.
+ *
+ * Test support (ss_test_support): test_storage_backend is its
+ * caller, through ApplianceConfig::backend.factory.
  */
 
-#ifndef SIEVESTORE_STORAGE_FAULT_BACKEND_HPP
-#define SIEVESTORE_STORAGE_FAULT_BACKEND_HPP
+#ifndef SIEVESTORE_TESTS_SUPPORT_FAULT_BACKEND_HPP
+#define SIEVESTORE_TESTS_SUPPORT_FAULT_BACKEND_HPP
 
 #include <memory>
 
@@ -79,4 +82,4 @@ class FaultInjectingBackend final : public Backend
 } // namespace storage
 } // namespace sievestore
 
-#endif // SIEVESTORE_STORAGE_FAULT_BACKEND_HPP
+#endif // SIEVESTORE_TESTS_SUPPORT_FAULT_BACKEND_HPP

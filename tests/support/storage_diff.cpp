@@ -1,4 +1,4 @@
-#include "sim/storage_diff.hpp"
+#include "support/storage_diff.hpp"
 
 #include <algorithm>
 

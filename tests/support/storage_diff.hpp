@@ -16,10 +16,13 @@
  *  - Measured latency (storage_*_ns) is expected to diverge: that
  *    divergence IS the validation signal, reported per day as a
  *    measured/predicted ratio and optionally gated by a tolerance.
+ *
+ * Test support (ss_test_support): test_storage_differential is its
+ * caller.
  */
 
-#ifndef SIEVESTORE_SIM_STORAGE_DIFF_HPP
-#define SIEVESTORE_SIM_STORAGE_DIFF_HPP
+#ifndef SIEVESTORE_TESTS_SUPPORT_STORAGE_DIFF_HPP
+#define SIEVESTORE_TESTS_SUPPORT_STORAGE_DIFF_HPP
 
 #include <vector>
 
@@ -91,4 +94,4 @@ StorageDiffResult runStorageDifferential(trace::TraceReader &reader,
 } // namespace sim
 } // namespace sievestore
 
-#endif // SIEVESTORE_SIM_STORAGE_DIFF_HPP
+#endif // SIEVESTORE_TESTS_SUPPORT_STORAGE_DIFF_HPP

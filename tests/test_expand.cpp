@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "trace/expand.hpp"
+#include "support/expand.hpp"
 
 namespace {
 

@@ -16,8 +16,8 @@
 #include "core/appliance.hpp"
 #include "storage/analytic_backend.hpp"
 #include "storage/backend.hpp"
-#include "storage/fault_backend.hpp"
 #include "storage/file_backend.hpp"
+#include "support/fault_backend.hpp"
 #include "util/sim_time.hpp"
 
 namespace {
@@ -115,6 +115,15 @@ TEST(MakeBackend, KindSelection)
     EXPECT_EQ(static_cast<FileBackend &>(*file).slots(), 128u);
 }
 
+TEST(MakeBackend, DefaultsToAnalyticInEveryBuild)
+{
+    // No build flag or environment variable picks the default: a run
+    // that wants another backend says so in ApplianceConfig::backend.
+    EXPECT_EQ(BackendConfig{}.kind, BackendKind::Analytic);
+    EXPECT_EQ(core::ApplianceConfig{}.backend.kind,
+              BackendKind::Analytic);
+}
+
 TEST(MakeBackend, FactoryOverridesKind)
 {
     const ssd::SsdModel ssd = ssd::SsdModel::intelX25E();
@@ -138,10 +147,8 @@ exerciseFileBackend(unsigned workers)
     FileBackendConfig config;
     config.capacity_bytes = 64 * trace::kPageBytes;
     config.workers = workers;
-    config.engine = FileBackendConfig::Engine::Sync;
     FileBackend backend(config);
     EXPECT_EQ(backend.slots(), 64u);
-    EXPECT_FALSE(backend.stats().io_uring);
 
     const auto ops = makeAlignedOps(200);
     std::vector<uint32_t> lat(ops.size());
@@ -166,8 +173,7 @@ exerciseFileBackend(unsigned workers)
 
 TEST(FileBackend, SynchronousFallbackEngine)
 {
-    // workers = 0: every op runs inline on the submitting thread —
-    // the always-built path CI pins via SIEVE_STORAGE_ENGINE=sync.
+    // workers = 0: every op runs inline on the submitting thread.
     exerciseFileBackend(0);
 }
 
@@ -183,7 +189,6 @@ TEST(FileBackend, CollidingSlotsStillServe)
     FileBackendConfig config;
     config.capacity_bytes = 4 * trace::kPageBytes;
     config.workers = 0;
-    config.engine = FileBackendConfig::Engine::Sync;
     FileBackend backend(config);
     const auto ops = makeAlignedOps(64);
     std::vector<uint32_t> lat(ops.size());
@@ -277,7 +282,6 @@ TEST(FaultBackend, WrapsFileBackend)
         FileBackendConfig config;
         config.capacity_bytes = 16 * trace::kPageBytes;
         config.workers = 0;
-        config.engine = FileBackendConfig::Engine::Sync;
         return std::make_unique<FileBackend>(config);
     };
     FaultInjectingBackend backend(inner(), plan);
@@ -432,7 +436,6 @@ TEST(ApplianceStorage, FileBackendKeepsModelFieldsIdentical)
     core::ApplianceConfig file_cfg = faultTestConfig();
     file_cfg.backend.kind = BackendKind::File;
     file_cfg.backend.file.workers = 0;
-    file_cfg.backend.file.engine = FileBackendConfig::Engine::Sync;
     core::Appliance f(file_cfg);
     replayWorkload(f);
 

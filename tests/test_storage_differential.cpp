@@ -11,7 +11,7 @@
 
 #include <vector>
 
-#include "sim/storage_diff.hpp"
+#include "support/storage_diff.hpp"
 #include "trace/request.hpp"
 #include "trace/trace_reader.hpp"
 #include "util/sim_time.hpp"
@@ -68,7 +68,6 @@ baseConfig()
     config.appliance.cache_blocks = 4096;
     config.appliance.track_occupancy = false;
     config.file.workers = 0;
-    config.file.engine = storage::FileBackendConfig::Engine::Sync;
     config.driver.check_invariants = true;
     return config;
 }
